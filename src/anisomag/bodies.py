@@ -145,25 +145,38 @@ class Polytope:
         """Parameter interval {t : x + t*sigma in polytope}, vectorized.
 
         ``x`` and ``sigma`` broadcast to a common leading shape with trailing
-        axis ``dim``.  Returns (t_lo, t_hi); the interval is empty wherever
-        t_lo > t_hi.  Intervals are unclipped (may be negative or infinite in
-        the unbounded direction of a single facet, though boundedness of the
-        polytope keeps them finite).
+        axis ``dim``.  Returns (t_lo, t_hi) of that leading shape; the
+        interval is empty wherever t_lo > t_hi.  Intervals are unclipped (may
+        be negative or infinite in the unbounded direction of a single facet,
+        though boundedness of the polytope keeps them finite).
+
+        Facets are folded in one at a time: facet f bounds t from above by
+        ``slack_f / (sigma . n_f)`` when the ray leaves through it and from
+        below when it enters, so memory is O(rays) per facet and no
+        (ray, facet) array is built.  A facet parallel to the ray
+        (``|sigma . n_f| <= 1e-300``) bounds nothing, unless the point lies
+        outside it, in which case the interval is empty (t_hi = -inf).
         """
         x = np.asarray(x, dtype=float)
         sigma = np.asarray(sigma, dtype=float)
         nx = np.einsum("...k,fk->...f", x, self.normals)
         ns = np.einsum("...k,fk->...f", sigma, self.normals)
-        slack = self.offsets - nx  # >= 0 inside
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = slack / ns
-        pos = ns > 1e-300
-        neg = ns < -1e-300
-        t_hi = np.min(np.where(pos, bound, np.inf), axis=-1)
-        t_lo = np.max(np.where(neg, bound, -np.inf), axis=-1)
-        # facets parallel to the ray: infeasible if the point violates them
-        parallel_bad = np.any(~pos & ~neg & (slack < 0.0), axis=-1)
-        t_hi = np.where(parallel_bad, -np.inf, t_hi)
+        shape = np.broadcast_shapes(nx.shape, ns.shape)[:-1]
+        t_lo = np.full(shape, -np.inf)
+        t_hi = np.full(shape, np.inf)
+        bad = np.zeros(shape, dtype=bool)
+        bound = np.empty(shape)
+        for f, offset in enumerate(self.offsets):
+            slack = offset - nx[..., f]  # >= 0 inside
+            ns_f = ns[..., f]
+            pos = ns_f > 1e-300
+            neg = ns_f < -1e-300
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                np.divide(slack, ns_f, out=bound)
+            np.minimum(t_hi, bound, out=t_hi, where=pos)
+            np.maximum(t_lo, bound, out=t_lo, where=neg)
+            bad |= ~(pos | neg) & (slack < 0.0)
+        t_hi[bad] = -np.inf
         return t_lo, t_hi
 
 

@@ -232,7 +232,7 @@ def cmd_norms(args) -> int:
     for v in vectors:
         gauge = body.gauge(v.real) if not v.imag.any() else float("nan")
         val, err = moment_norm_batch(ev, v[None, :])
-        label = "[" + ", ".join(f"{c.real:g}{c.imag:+g}j" if c.imag else f"{c.real:g}"
+        label = "[" + " ".join(f"{c.real:g}{c.imag:+g}j" if c.imag else f"{c.real:g}"
                                 for c in v) + "]"
         print(f"{label:<24} {gauge:>12.6g} {val[0]:>14.8g} {err[0]:>12.3g}")
         rows.append((label, repr(float(gauge)), repr(float(val[0])), repr(float(err[0]))))

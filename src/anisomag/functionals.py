@@ -597,22 +597,24 @@ def _bbm_indicator(u, spec, budget):
             rho = 1.0 * (1.0 - s) * (h * gg) ** (1.0 - dim - s)
         return rho / gg * h ** (dim - 2)
 
+    # A = 0, shrinking family: the kernel difference is the 0/1 region flip
+    # and the radial integral has an elementary primitive
+    plain_w = rule.weights * (float(dim) * float(n) ** dim) / g
+
     def values_fn_plain(x_chunk):
-        # A = 0, shrinking family: the kernel difference is the 0/1 region flip
-        # and the radial integral has an elementary primitive
-        c = len(x_chunk)
-        t_lo, t_hi = region.ray_interval(x_chunk[:, None, :], rule.nodes[None, :, :])
+        a_in, b_out = region.ray_interval(x_chunk[:, None, :], rule.nodes[None, :, :])
         inside = region.contains(x_chunk)
-        cut = np.broadcast_to(h_cut[None, :], (c, rule.size))
-        a_in = np.clip(t_lo, 0.0, cut)
-        b_out = np.maximum(np.clip(t_hi, 0.0, cut), a_in)
+        # clip both ends to [0, h_cut] in place; then a_in <= b_out <= h_cut
+        np.minimum(np.maximum(a_in, 0.0, out=a_in), h_cut, out=a_in)
+        np.minimum(np.maximum(b_out, 0.0, out=b_out), h_cut, out=b_out)
+        np.maximum(b_out, a_in, out=b_out)
+        # inside: the ray leaves the region on [b_out, h_cut]; outside: it
+        # crosses it on [a_in, b_out]
         lo = np.where(inside[:, None], b_out, a_in)
-        hi = np.where(inside[:, None], cut, np.minimum(b_out, cut))
-        hi = np.maximum(hi, lo)
+        hi = np.where(inside[:, None], h_cut, b_out)
         e = dim - 1
-        rho_const = float(dim) * float(n) ** dim
         seg = (hi**e - lo**e) / e if e > 0 else np.log(np.maximum(hi, 1e-300) / np.maximum(lo, 1e-300))
-        return np.einsum("cm,m->c", seg, rule.weights * rho_const / g)
+        return np.einsum("cm,m->c", seg, plain_w)
 
     def values_fn(x_chunk):
         c = len(x_chunk)

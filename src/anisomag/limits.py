@@ -32,6 +32,9 @@ from .functionals import (
 from .seeding import derive_seed
 
 REPORT_SCHEMA_VERSION = 1
+# smallest fit error: the weights 1/error then square to at most 1e300, so
+# all-zero data (errors 0, scale 1e-300) cannot overflow them into a NaN limit
+ERR_FLOOR_MIN = 1e-150
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,8 @@ def extrapolate(points) -> Extrapolation:
     if np.any(t <= 0.0) or not np.all(np.diff(t) < 0.0):
         raise ValueError("t must be positive and strictly decreasing")
     scale = max(float(np.max(np.abs(v))), 1e-300)
-    err_floor = max(1e-12 * scale, float(np.min(e[e > 0])) if np.any(e > 0) else 1e-12 * scale)
+    err_floor = max(1e-12 * scale, float(np.min(e[e > 0])) if np.any(e > 0) else 1e-12 * scale,
+                    ERR_FLOOR_MIN)
     sigma = np.maximum(e, err_floor)
     w = 1.0 / sigma
 
@@ -122,11 +126,12 @@ def extrapolate(points) -> Extrapolation:
     if abs(d2 - d1) > 1e-300:
         aitken = float(v[-1] - d2 * d2 / (d2 - d1))
 
-    # constant data: limit is the weighted mean, rate undetermined
+    # constant data: limit is the weighted mean, rate undetermined; it is
+    # reported as 0 (no t-dependence) rather than NaN, which JSON cannot round-trip
     if np.ptp(v) <= 1e-14 * scale:
         mean = float(np.sum(v * w**2) / np.sum(w**2))
         stderr = 1.0 / math.sqrt(float(np.sum(w**2)))
-        return Extrapolation(mean, math.nan, 0.0, aitken if np.isfinite(aitken) else mean,
+        return Extrapolation(mean, 0.0, 0.0, aitken if np.isfinite(aitken) else mean,
                              stderr, False, "constant")
 
     design = np.stack([np.ones_like(t), t], axis=1)

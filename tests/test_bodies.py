@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import anisomag as am
 
@@ -192,3 +194,104 @@ class TestPolytopeConstruction:
     def test_degenerate_region_measure_zero(self):
         flat = am.box_region([0.3, 0.0], [0.0, 0.5])
         assert flat.volume() == 0.0
+
+
+def broadcast_ray_interval(poly, x, sigma):
+    """Oracle: the (ray, facet) broadcast formulation of Polytope.ray_interval."""
+    x = np.asarray(x, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    nx = np.einsum("...k,fk->...f", x, poly.normals)
+    ns = np.einsum("...k,fk->...f", sigma, poly.normals)
+    slack = poly.offsets - nx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = slack / ns
+    pos = ns > 1e-300
+    neg = ns < -1e-300
+    t_hi = np.min(np.where(pos, bound, np.inf), axis=-1)
+    t_lo = np.max(np.where(neg, bound, -np.inf), axis=-1)
+    parallel_bad = np.any(~pos & ~neg & (slack < 0.0), axis=-1)
+    t_hi = np.where(parallel_bad, -np.inf, t_hi)
+    return t_lo, t_hi
+
+
+def ray_regions():
+    return {
+        "square": am.unit_square(),
+        "hexagon": am.regular_hexagon().polytope,
+        "box3": am.box_region([0.1, 0.0, -0.2], [0.5, 0.3, 0.7]),
+    }
+
+
+def assert_bitwise_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestRayInterval:
+    @pytest.mark.parametrize("name", ["square", "hexagon", "box3"])
+    def test_bitwise_equal_to_broadcast_oracle(self, name):
+        region = ray_regions()[name]
+        dim = region.dim
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1.0, 1.0, (120, dim))
+        x[:40] = np.round(x[:40] * 4.0) / 8.0  # many points on facets and axes
+        sig = rng.standard_normal((60, dim))
+        sig /= np.linalg.norm(sig, axis=1)[:, None]
+        sig = np.vstack([sig, np.eye(dim), -np.eye(dim), region.normals])
+        m = len(sig)
+        cases = [
+            (x[:, None, :], sig[None, :, :]),  # (c, 1, D) x (1, m, D)
+            (x[:m], sig),  # (n, D) x (n, D)
+            (x[:7], sig[3]),  # (n, D) x (D,)
+            (x[0], sig[0]),  # a single vector
+            (x[1], sig[m - 1]),
+        ]
+        for xs, ss in cases:
+            got = region.ray_interval(xs, ss)
+            want = broadcast_ray_interval(region, xs, ss)
+            for g, w in zip(got, want):
+                assert_bitwise_equal(g, w)
+
+    def test_axis_parallel_rays(self):
+        sq = am.unit_square()
+        e1 = np.array([1.0, 0.0])
+        x = np.array([
+            [0.0, 0.2],  # inside both parallel facets y = +-1/2
+            [0.9, 0.2],  # outside a crossed facet only: interval still non-empty
+            [0.0, 0.7],  # outside the parallel facet y <= 1/2
+            [0.0, -0.7],  # outside the parallel facet y >= -1/2
+            [0.0, 0.5],  # on the parallel facet: not outside it
+        ])
+        t_lo, t_hi = sq.ray_interval(x, e1)
+        np.testing.assert_array_equal(t_lo[[0, 1, 4]], [-0.5, -1.4, -0.5])
+        np.testing.assert_array_equal(t_hi[[0, 1, 4]], [0.5, -0.4, 0.5])
+        assert np.all(t_hi[[2, 3]] == -np.inf)
+        assert np.all(t_lo[[2, 3]] > t_hi[[2, 3]])
+
+        box = ray_regions()["box3"]  # [-0.4, 0.6] x [-0.3, 0.3] x [-0.9, 0.5]
+        e3 = np.array([0.0, 0.0, -1.0])
+        x3 = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.7, 0.0, 2.0]])
+        t_lo, t_hi = box.ray_interval(x3, e3)
+        np.testing.assert_allclose([t_lo[0], t_hi[0]], [-0.5, 0.9], rtol=1e-15)
+        assert t_hi[1] == -np.inf and t_hi[2] == -np.inf
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        name=st.sampled_from(["square", "hexagon", "box3"]),
+        coords=st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
+        direction=st.lists(st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-1.0, 1.0),
+                           min_size=3, max_size=3),
+        t=st.floats(-4.0, 4.0),
+    )
+    def test_interval_agrees_with_contains(self, name, coords, direction, t):
+        region = ray_regions()[name]
+        x = np.asarray(coords[: region.dim])
+        sigma = np.asarray(direction[: region.dim])
+        assume(np.linalg.norm(sigma) > 0.1)
+        point = x + t * sigma
+        # skip points within 1e-9 of a facet hyperplane
+        assume(np.all(np.abs(region.normals @ point - region.offsets) > 1e-9))
+        t_lo, t_hi = region.ray_interval(x, sigma)
+        assert region.contains(point) == bool(t_lo <= t <= t_hi)

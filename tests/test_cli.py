@@ -51,6 +51,19 @@ class TestNorms:
         val = float((tmp_path / "norms.csv").read_text().splitlines()[1].split(",")[2])
         assert abs(val - math.sqrt(math.pi / 2.0)) < 1e-8
 
+    def test_labels_have_no_commas(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "schema_version": 1,
+            "body": {"shape": "cube", "dim": 2},
+            "p": 1.0,
+            "vectors": [[3.0, 4.0], ["1+2j", "-1j"]],
+        })
+        out = run_cli("norms", "--config", cfg, "--out", str(tmp_path))
+        assert out.returncode == 0, out.stderr
+        rows = (tmp_path / "norms.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["[3 4]", "[1+2j 0-1j]"]
+        assert all(len(r.split(",")) == 4 for r in rows)
+
     def test_malformed_json_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"schema_version": 1,\n  "body": [}\n')

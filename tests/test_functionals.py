@@ -275,8 +275,23 @@ class TestNguyenProperties:
 
 
 class TestBodyMonotonicity:
-    def test_smaller_body_larger_value(self):
-        # ball inside cube: larger gauge, larger fractional value
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_scaled_ball_scaling_identity(self, lam):
+        # gauge_{lam K} = gauge_K / lam and the kernel is 1/gauge^(N+ps), so
+        # value(lam K) = lam^(N+ps) value(K): the larger body has the larger value
+        u = am.gaussian(2)
+        zero = am.zero_potential(2)
+        budget = am.IntegrationBudget(outer="tensor", resolution=32, sphere_nodes=48)
+        p, s = 2.0, 0.6
+        v_unit, _ = am.gagliardo(u, am.FunctionalSpec(am.Gagliardo(s), p,
+                                                      am.EuclideanBall(2), zero), budget)
+        v_lam, _ = am.gagliardo(u, am.FunctionalSpec(am.Gagliardo(s), p,
+                                                     am.EuclideanBall(2, lam), zero), budget)
+        assert v_lam == pytest.approx(lam ** (2 + p * s) * v_unit, rel=1e-12)
+
+    def test_larger_body_larger_value(self):
+        # ball inside cube: smaller kernel 1/gauge^(N+ps) on the ball (its gauge
+        # is the larger one), so ball value <= cube value
         u = am.gaussian(2)
         zero = am.zero_potential(2)
         budget = am.IntegrationBudget(outer="tensor", resolution=32, sphere_nodes=48)
@@ -284,7 +299,39 @@ class TestBodyMonotonicity:
                                                       am.EuclideanBall(2), zero), budget)
         v_cube, _ = am.gagliardo(u, am.FunctionalSpec(am.Gagliardo(0.6), 2.0,
                                                       am.cube(2), zero), budget)
-        assert v_ball >= v_cube
+        assert v_ball <= v_cube
+
+
+class TestIndicatorFrozenValues:
+    """Values of the p = 1 indicator paths, recorded as repr strings.
+
+    Any change to the ray/region kernel that is not bit-identical shows here.
+    """
+
+    @pytest.mark.parametrize("n, expected", [
+        (4, "(15.18835401971301, 0.7642020509299261)"),
+        (16, "(17.608533065919826, 7.144299920125592)"),
+    ])
+    def test_shrinking_bbm_square_disk(self, n, expected):
+        spec = am.FunctionalSpec(am.Bbm(am.ShrinkingUniformFamily(2, 1.0), n), 1.0,
+                                 am.EuclideanBall(2), am.zero_potential(2))
+        got = am.bbm(am.indicator(am.unit_square()), spec,
+                     am.IntegrationBudget(outer="tensor", resolution=32))
+        assert repr(got) == expected
+
+    def test_shrinking_bbm_square_disk_magnetic(self):
+        spec = am.FunctionalSpec(am.Bbm(am.ShrinkingUniformFamily(2, 1.0), 4), 1.0,
+                                 am.EuclideanBall(2), am.rotational_potential(1.0))
+        got = am.bbm(am.indicator(am.unit_square()), spec,
+                     am.IntegrationBudget(outer="tensor", resolution=16, sphere_nodes=32))
+        assert repr(got) == "(15.159442678059499, 2.1622179022214922)"
+
+    def test_gagliardo_indicator_square_disk(self):
+        spec = am.FunctionalSpec(am.Gagliardo(0.5), 1.0, am.EuclideanBall(2),
+                                 am.zero_potential(2))
+        got = am.gagliardo(am.indicator(am.unit_square()), spec,
+                           am.IntegrationBudget(outer="tensor", resolution=32))
+        assert repr(got) == "(43.82448617058196, 23.55325689772127)"
 
 
 class TestBbm:

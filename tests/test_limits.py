@@ -51,6 +51,18 @@ class TestExtrapolate:
         assert not ex.rate_determined
         assert ex.residual == pytest.approx(0.0, abs=1e-12)
 
+    def test_zero_data_gives_zero_limit(self):
+        # all-zero values and errors: the error floor must not underflow into
+        # infinite weights (0 * inf = NaN)
+        t = np.array([0.2, 0.1, 0.05, 0.025, 0.0125])
+        ex = am.extrapolate([(ti, 0.0, 0.0) for ti in t])
+        assert ex.limit == 0.0
+        assert ex.fit_model == "constant"
+        assert not ex.rate_determined
+        for value in (ex.rate, ex.residual, ex.aitken, ex.limit_stderr):
+            assert math.isfinite(value)
+        assert 0.0 <= ex.limit_stderr < 1e-100
+
     def test_sqrt_rate_with_noise(self):
         rng = np.random.default_rng(0)
         t = np.array([0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625])
