@@ -19,7 +19,9 @@ from .grids import trapezoid_grid
 from .norms import SphereMomentKernel, adapted_moment_rule
 from .spheres import sphere_rule
 
-_CHUNK = 16384
+# grid points per kernel call: keeps the (points, sphere nodes) temporaries at
+# a few MB; each point's value does not depend on it
+_CHUNK = 512
 
 
 @dataclass(frozen=True)

@@ -192,7 +192,7 @@ def rotational_potential(b: float) -> MagneticPotential:
     """A(x) = (b/2) (-x_2, x_1) at N = 2, the symmetric-gauge field."""
 
     def ev(x):
-        out = np.empty(x.shape)
+        out = np.empty_like(x, dtype=float)  # keeps the memory layout of x
         out[..., 0] = -0.5 * b * x[..., 1]
         out[..., 1] = 0.5 * b * x[..., 0]
         return out

@@ -196,6 +196,13 @@ class IntegrationBudget:
 # ---------------------------------------------------------------------------
 # shared machinery
 
+# dense (points, sigma, h) ray grids are built for this many points at a time,
+# so their temporaries stay near cache size; the threshold functional bisects
+# the crossings of budget.chunk * _RAY_BATCH_CHUNKS points at once, for fewer
+# and longer array operations.  Neither changes any value.
+_SCAN_POINTS = 4
+_RAY_BATCH_CHUNKS = 8
+
 
 def _ball_samples(dim: int, radius: float, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -238,16 +245,52 @@ def _mixture_samples(dim: int, radius: float, tau: float, count: int, seed: int)
     return pts, frac_g * rho_g + (1.0 - frac_g) * rho_u
 
 
-def _psi_diff_pow(u, a, x_chunk, h, sigma, p, use_phase):
-    """|Psi_u(x, x+h sigma) - Psi_u(x, x)|_p^p on the (chunk, sigma, h) grid."""
-    y = x_chunk[:, None, None, :] + h[None, None, :, None] * sigma[None, :, None, :]
+def _ray_steps(h, sigma):
+    """Offsets h * sigma on the (sigma, h) grid as an (m, k, N) array.
+
+    ``h`` is (k,) or per direction (m, k).  The array is stored one coordinate
+    plane at a time (its last axis is the slowest in memory), so points built
+    from it by _ray_points give field and potential evaluations long
+    contiguous runs instead of length-N inner loops; each entry is the same
+    product as in the interleaved layout.
+    """
+    planes = sigma.T[:, :, None] * h  # (N, m, k)
+    return np.moveaxis(planes, 0, -1)
+
+
+def _ray_points(x_chunk, steps):
+    """x + steps on the (chunk, sigma, h) grid, in the plane layout of _ray_steps."""
+    planes = np.empty((steps.shape[-1], len(x_chunk)) + steps.shape[:-1])
+    return np.add(x_chunk[:, None, None, :], steps[None], out=np.moveaxis(planes, 0, -1))
+
+
+def _psi_diff_pow(u, a, x_chunk, h, sigma, steps, half_steps, p):
+    """|Psi_u(x, x+h sigma) - Psi_u(x, x)|_p^p on the (chunk, sigma, h) grid.
+
+    ``steps`` and ``half_steps`` are _ray_steps(h, sigma) and
+    _ray_steps(0.5 * h, sigma), built once per functional; ``half_steps`` is
+    None to skip the magnetic phase.  ``h`` broadcasts against the trailing
+    (sigma, h) axes.  Returns the powers and the points y = x + h sigma.
+    """
+    y = _ray_points(x_chunk, steps)
     uy = u.evaluate(y)
     ux = u.evaluate(x_chunk)
-    if use_phase:
-        mid = x_chunk[:, None, None, :] + (0.5 * h)[None, None, :, None] * sigma[None, :, None, :]
-        dot = np.einsum("cmhk,mk->cmh", a.evaluate(mid), sigma)
-        uy = np.exp(-1j * h[None, None, :] * dot) * uy
-    return scalar_mixed_modulus_pow(uy - ux[:, None, None], p), y
+    if half_steps is not None:
+        dot = np.einsum("cmhk,mk->cmh", a.evaluate(_ray_points(x_chunk, half_steps)), sigma)
+        rot = np.multiply(-1j * h, dot)
+        uy = np.multiply(np.exp(rot, out=rot), uy, out=rot)
+        diff = np.subtract(uy, ux[:, None, None], out=uy)
+    else:
+        diff = uy - ux[:, None, None]
+    return scalar_mixed_modulus_pow(diff, p), y
+
+
+def _in_blocks(values_fn):
+    """values_fn evaluated _SCAN_POINTS points at a time."""
+    def blocked(x_chunk):
+        return np.concatenate([values_fn(x_chunk[i : i + _SCAN_POINTS])
+                               for i in range(0, len(x_chunk), _SCAN_POINTS)])
+    return blocked
 
 
 def _outer_integrate(values_fn, dim, radius, budget, seed_label, mask_radius=None,
@@ -328,12 +371,13 @@ def _gagliardo_like(u, a, body, p, s, budget, use_psi, seed):
         return _gagliardo_indicator(u, body, s, budget, rule, kernel_w)
 
     h_nodes, h_weights = _gagliardo_radial(p, s, h_max, budget)
-    use_phase = use_psi and not a.is_zero
+    steps = _ray_steps(h_nodes, rule.nodes)
+    half_steps = _ray_steps(0.5 * h_nodes, rule.nodes) if use_psi and not a.is_zero else None
     sup2 = u.support_radius**2
     tail_factor = h_max ** (-p * s) / (p * s) * float(np.einsum("m->", kernel_w))
 
     def values_fn(x_chunk):
-        gpow, y = _psi_diff_pow(u, a, x_chunk, h_nodes, rule.nodes, p, use_phase)
+        gpow, y = _psi_diff_pow(u, a, x_chunk, h_nodes, rule.nodes, steps, half_steps, p)
         qpow = gpow / h_nodes[None, None, :] ** p
         if symmetric:
             outside = np.einsum("cmhk,cmhk->cmh", y, y) > sup2
@@ -345,7 +389,7 @@ def _gagliardo_like(u, a, body, p, s, budget, use_psi, seed):
         return vals + tails
 
     tau = _importance_tau(u) if budget.outer == "montecarlo" else None
-    return _outer_integrate(values_fn, dim, radius, budget,
+    return _outer_integrate(_in_blocks(values_fn), dim, radius, budget,
                             derive_seed(budget.seed, "gagliardo", seed), mask_radius=radius,
                             importance_tau=tau)
 
@@ -459,27 +503,39 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
         max_step = min(0.5, math.pi / (4.0 * amax)) if amax > 1e-12 else 0.5
     scan = _scan_grid(h_max, budget, max_step)
     use_phase = not a.is_zero
+    steps = _ray_steps(scan, rule.nodes)
+    half_steps = _ray_steps(0.5 * scan, rule.nodes) if use_phase else None
+    edges = np.concatenate([[0.0], scan])
     delta_pow = delta**p
     m_count = rule.size
 
-    def values_fn(x_chunk):
+    def crossings(x_chunk):
+        """(point, direction, scan cell, rising) of every threshold crossing."""
         c = len(x_chunk)
-        gpow, _ = _psi_diff_pow(u, a, x_chunk, scan, rule.nodes, p, use_phase)
+        gpow, _ = _psi_diff_pow(u, a, x_chunk, scan, rule.nodes, steps, half_steps, p)
         fires = gpow > delta_pow  # (c, m, k)
-        ux_pow = scalar_mixed_modulus_pow(u.evaluate(x_chunk), p)
         # prepend h = 0 (never fires); the last scan node sits at h_max where
         # the difference equals |u(x)|_p, so the state there persists to infinity
         state = np.concatenate([np.zeros((c, m_count, 1), dtype=bool), fires], axis=2)
         flips = state[:, :, 1:] != state[:, :, :-1]
-        ci, mi, ki = np.nonzero(flips)
+        # flips are sparse: the flat search is much faster than a 3-D nonzero
+        ci, mi, ki = np.unravel_index(np.flatnonzero(flips), flips.shape)
+        return ci, mi, ki, ~state[ci, mi, ki]  # rising: crossing from below
+
+    def values_fn(x_batch):
+        starts = range(0, len(x_batch), _SCAN_POINTS)
+        parts = [crossings(x_batch[i : i + _SCAN_POINTS]) for i in starts]
+        ci = np.concatenate([part[0] + i for part, i in zip(parts, starts)])
+        mi, ki, rising = (np.concatenate(col) for col in list(zip(*parts))[1:])
+        c = len(x_batch)
         if len(ci) == 0:
             return np.zeros(c)
-        edges = np.concatenate([[0.0], scan])
-        lo = edges[ki].copy()
-        hi = edges[ki + 1].copy()
-        rising = ~state[ci, mi, ki]  # crossing from below the threshold
-        x_rays = x_chunk[ci]
-        s_rays = rule.nodes[mi]
+        lo = edges[ki]
+        hi = edges[ki + 1]
+        # rays as coordinate planes, like the scan grid
+        x_rays = x_batch.T[:, ci].T
+        s_rays = rule.nodes.T[:, mi].T
+        ux_rays = u.evaluate(x_rays)
         for _ in range(budget.bisection_iters):
             mid = 0.5 * (lo + hi)
             y = x_rays + mid[:, None] * s_rays
@@ -487,11 +543,11 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
             if use_phase:
                 amid = a.evaluate(x_rays + (0.5 * mid)[:, None] * s_rays)
                 uy = np.exp(-1j * mid * np.einsum("bk,bk->b", amid, s_rays)) * uy
-            above = scalar_mixed_modulus_pow(uy - u.evaluate(x_rays), p) > delta_pow
+            above = scalar_mixed_modulus_pow(uy - ux_rays, p) > delta_pow
             # mid already past the flip: tighten the upper end, else the lower
             on_far_side = above == rising
-            hi = np.where(on_far_side, mid, hi)
-            lo = np.where(on_far_side, lo, mid)
+            np.copyto(hi, mid, where=on_far_side)
+            np.copyto(lo, mid, where=~on_far_side)
         crossing = 0.5 * (lo + hi)
         signed = np.where(rising, 1.0, -1.0) * crossing ** (-p)
         ray_vals = np.zeros((c, m_count))
@@ -500,7 +556,8 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
         return vals
 
     tau = _importance_tau(u) if budget.outer == "montecarlo" else None
-    return _outer_integrate(values_fn, dim, radius, budget,
+    batches = replace(budget, chunk=budget.chunk * _RAY_BATCH_CHUNKS)
+    return _outer_integrate(values_fn, dim, radius, batches,
                             derive_seed(budget.seed, "nguyen", seed), mask_radius=radius,
                             importance_tau=tau)
 
@@ -541,20 +598,14 @@ def _bbm_shrinking_smooth(u, spec, budget, seed):
     xi = 0.5 * (xg + 1.0)
     wxi = 0.5 * wg
     h_nodes = h_sup[:, None] * xi[None, :]  # (m, r)
-    use_phase = not a.is_zero
+    steps = _ray_steps(h_nodes, rule.nodes)
+    half_steps = _ray_steps(0.5 * h_nodes, rule.nodes) if not a.is_zero else None
     radius = u.support_radius + float(np.max(h_sup))
     # per-(sigma, h) quadrature weight: rho/g^p * h^(N-1) * dh
     w_mr = (rho_const / g**p)[:, None] * h_nodes ** (dim - 1) * (h_sup[:, None] * wxi[None, :])
 
     def values_fn(x_chunk):
-        y = x_chunk[:, None, None, :] + h_nodes[None, :, :, None] * rule.nodes[None, :, None, :]
-        uy = u.evaluate(y)
-        ux = u.evaluate(x_chunk)
-        if use_phase:
-            mid = x_chunk[:, None, None, :] + 0.5 * h_nodes[None, :, :, None] * rule.nodes[None, :, None, :]
-            dot = np.einsum("cmrk,mk->cmr", a.evaluate(mid), rule.nodes)
-            uy = np.exp(-1j * h_nodes[None, :, :] * dot) * uy
-        gpow = scalar_mixed_modulus_pow(uy - ux[:, None, None], p)
+        gpow, _ = _psi_diff_pow(u, a, x_chunk, h_nodes, rule.nodes, steps, half_steps, p)
         qpow = gpow / h_nodes[None, :, :] ** p
         return np.einsum("cmr,mr,m->c", qpow, w_mr, rule.weights)
 

@@ -48,11 +48,24 @@ def mixed_modulus(z, p: float) -> float | np.ndarray:
 
 def scalar_mixed_modulus_pow(z: np.ndarray, p: float) -> np.ndarray:
     """|z|_p^p for an array of complex scalars: |Re z|^p + |Im z|^p."""
+    return mixed_pow_parts(z.real, z.imag, p)
+
+
+def mixed_pow_parts(re, im, p: float) -> np.ndarray:
+    """|re|^p + |im|^p from the real and imaginary parts, without building
+    the complex array; ``im`` may be the scalar 0 for real data."""
     if p == 2.0:
-        return z.real**2 + z.imag**2
+        return re**2 + im**2
     if p == 1.0:
-        return np.abs(z.real) + np.abs(z.imag)
-    return np.abs(z.real) ** p + np.abs(z.imag) ** p
+        return np.abs(re) + np.abs(im)
+    return np.abs(re) ** p + np.abs(im) ** p
+
+
+def _projections(v: np.ndarray, nodes: np.ndarray, subscripts: str):
+    """Real and imaginary parts of v . nodes; the imaginary part is 0 for real v."""
+    re = np.einsum(subscripts, v.real, nodes)
+    im = np.einsum(subscripts, v.imag, nodes) if v.imag.any() else 0.0
+    return re, im
 
 
 def _kpn_adapted(p: float, dim: int, omega: np.ndarray) -> float:
@@ -165,10 +178,8 @@ class SphereMomentKernel:
     def norms_pow_p(self, v: np.ndarray) -> np.ndarray:
         """||v_i||^p for an (..., N) complex batch."""
         v = np.asarray(v, dtype=complex)
-        re = np.einsum("...k,mk->...m", v.real, self.rule.nodes)
-        im = np.einsum("...k,mk->...m", v.imag, self.rule.nodes)
-        return np.einsum("...m,m->...", scalar_mixed_modulus_pow(re + 1j * im, self.p),
-                         self.kernel_weights)
+        re, im = _projections(v, self.rule.nodes, "...k,mk->...m")
+        return np.einsum("...m,m->...", mixed_pow_parts(re, im, self.p), self.kernel_weights)
 
     def norm(self, v) -> float:
         return float(self.norms_pow_p(np.asarray(v, dtype=complex))) ** (1.0 / self.p)
@@ -179,11 +190,8 @@ class SphereMomentKernel:
             return 0.0
         v = np.asarray(v, dtype=complex)
         nodes, weights = self._coarse
-        re = np.einsum("...k,mk->...m", v.real, nodes)
-        im = np.einsum("...k,mk->...m", v.imag, nodes)
-        coarse_pow = np.einsum(
-            "...m,m->...", scalar_mixed_modulus_pow(re + 1j * im, self.p), weights
-        )
+        re, im = _projections(v, nodes, "...k,mk->...m")
+        coarse_pow = np.einsum("...m,m->...", mixed_pow_parts(re, im, self.p), weights)
         fine = self.norms_pow_p(v)
         return float(np.max(np.abs(fine ** (1.0 / self.p) - coarse_pow ** (1.0 / self.p))))
 
@@ -238,9 +246,8 @@ def moment_norm_batch(
         if ev.method.samples < 1:
             raise ValueError("evaluator has zero samples")
         pts = ev._samples(stream)
-        re = np.einsum("vk,nk->vn", v.real, pts)
-        im = np.einsum("vk,nk->vn", v.imag, pts)
-        pw = scalar_mixed_modulus_pow(re + 1j * im, ev.p)
+        re, im = _projections(v, pts, "vk,nk->vn")
+        pw = mixed_pow_parts(re, im, ev.p)
         mean = np.einsum("vn->v", pw) / pts.shape[0]
         var = np.einsum("vn->v", (pw - mean[:, None]) ** 2) / max(pts.shape[0] - 1, 1)
         sem = np.sqrt(var / pts.shape[0])

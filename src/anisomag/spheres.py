@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,8 +55,18 @@ def circle_trapezoid(n: int, with_coarse: bool = True) -> SphereRule:
     return SphereRule(2, nodes, weights, f"trapezoid({n})", coarse)
 
 
-def _gauss_legendre(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    (adapted rules rebuild panels thousands of times); read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _gauss_legendre(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _leggauss(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -89,7 +100,7 @@ def circle_panels(breakpoints, nodes_per_panel: int = 16, with_coarse: bool = Tr
 
 def sphere_product(n_polar: int = 64, n_azimuth: int = 128, with_coarse: bool = True) -> SphereRule:
     """Gauss-Legendre in cos(polar angle) x trapezoid in azimuth on S^2."""
-    t, wt = np.polynomial.legendre.leggauss(n_polar)  # t = cos(phi) on [-1, 1]
+    t, wt = _leggauss(n_polar)  # t = cos(phi) on [-1, 1]
     theta = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
     w_theta = 2.0 * math.pi / n_azimuth
     sin_phi = np.sqrt(1.0 - t**2)
@@ -119,7 +130,7 @@ def slice_rule(dim: int, axis, order: int = 64, with_coarse: bool = True) -> Sph
     axis = axis / np.linalg.norm(axis)
     if dim < 3:
         raise ValueError("slice rules need dimension >= 3")
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = _leggauss(order)
     phi = np.concatenate([0.25 * math.pi * (xg + 1.0), 0.25 * math.pi * (xg + 3.0)])
     wphi = np.concatenate([0.25 * math.pi * wg, 0.25 * math.pi * wg])
     t = np.cos(phi)
