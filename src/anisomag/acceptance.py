@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bodies import ConvexBody, Ellipsoid, EuclideanBall, cube, regular_hexagon, unit_square
 from .energy import GridSpec, anisotropic_perimeter, total_variation_smooth, variational_pairing
@@ -108,13 +107,15 @@ def criterion_euclidean_consistency(seed: int = 0, threads: int = 1) -> Criterio
             rng = np.random.default_rng(derive_seed(seed, "euclid", p, dim))
             for i in range(5):
                 w = rng.standard_normal(dim)
-                val, _ = moment_norm_batch(ev, w.astype(complex)[None, :])
+                val, _ = moment_norm_batch(ev, w[None, :])
                 ref = kpn_constant(p, dim) ** (1.0 / p) * float(np.linalg.norm(w))
                 rel = abs(val[0] - ref) / ref
                 ok = rel <= 1e-6
                 failures += not ok
                 rows.append(("moment_norm", _fmt(p), dim, _fmt(val[0]), _fmt(ref), _fmt(rel), int(ok)))
     # classical cross-checks against independent 1-D quadrature oracles
+    from scipy.integrate import quad
+
     k22_oracle = quad(lambda t: math.cos(t) ** 2, 0.0, 2.0 * math.pi, epsabs=1e-12)[0] / 2.0
     k12_oracle = quad(lambda t: abs(math.cos(t)), 0.0, 2.0 * math.pi, epsabs=1e-12)[0]
     for label, got, ref in (
@@ -159,6 +160,8 @@ def criterion_ludwig_bbm_limit(seed: int = 0, threads: int = 1) -> CriterionResu
         if not rep.passed:
             failures.append(name)
     # independent gaussian-moment oracle for the ball target: K_{2,2} * int |grad u|^2
+    from scipy.integrate import quad
+
     grad_sq = quad(lambda r: r**3 * math.exp(-(r**2)) * 2.0 * math.pi, 0.0, 30.0, epsabs=1e-12)[0]
     ball_target = (math.pi / 2.0) * grad_sq
     oracle_ok = abs(reports["ludwig_bbm_limit_ball"].target - ball_target) <= 1e-6 * ball_target
@@ -311,7 +314,7 @@ def criterion_duality_variational(seed: int = 0, threads: int = 1) -> CriterionR
     rng = np.random.default_rng(derive_seed(seed, "c9-pairs"))
     vs = rng.standard_normal((1000, 2))
     ws = rng.standard_normal((1000, 2))
-    norms = kernel.norms_pow_p(vs.astype(complex))
+    norms = kernel.norms_pow_p(vs)
     duals = dual_norm_z1_batch(disk, ws)
     lhs = np.einsum("nk,nk->n", vs, ws)
     bound = norms * duals * (1.0 + 2e-4) + 1e-6

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 REJECTION_ROUND_CAP = 10_000
 
@@ -85,6 +84,8 @@ class Polytope:
             if inradius <= 1e-12:
                 self._vertices = np.empty((0, self.dim))
                 return self._vertices
+            from scipy.spatial import HalfspaceIntersection
+
             halfspaces = np.hstack([self.normals, -self.offsets[:, None]])
             try:
                 hs = HalfspaceIntersection(halfspaces, interior)
@@ -101,6 +102,8 @@ class Polytope:
             elif self.dim == 1:
                 self._volume = float(verts.max() - verts.min())
             else:
+                from scipy.spatial import ConvexHull
+
                 self._volume = float(ConvexHull(verts).volume)
         return self._volume
 
@@ -120,6 +123,8 @@ class Polytope:
 
     def facet_areas(self) -> np.ndarray:
         """Surface measure of each facet, aligned with ``self.normals``."""
+        from scipy.spatial import ConvexHull
+
         verts = self.vertices
         areas = np.zeros(len(self.normals))
         for i, (n, c) in enumerate(zip(self.normals, self.offsets)):

@@ -38,6 +38,20 @@ def _resolve_grid(u: ComplexField, grid: GridSpec):
     return trapezoid_grid(u.dim, radius, grid.resolution)
 
 
+def _integrate_gradient(u: ComplexField, a: MagneticPotential, grid: GridSpec, norm_pow):
+    """integral of norm_pow(grad u - i A u) over the grid, _CHUNK points at a
+    time; points outside the field's gradient band contribute 0."""
+    tg = _resolve_grid(u, grid)
+    values = np.zeros(len(tg.points))
+    idx = np.arange(len(tg.points))
+    if u.gradient_band is not None:
+        idx = idx[u.gradient_band(tg.points)]
+    for start in range(0, len(idx), _CHUNK):
+        sel = idx[start : start + _CHUNK]
+        values[sel] = norm_pow(magnetic_gradient(u, a, tg.points[sel]))
+    return tg.integrate(values)
+
+
 def local_energy(
     u: ComplexField,
     a: MagneticPotential,
@@ -50,15 +64,7 @@ def local_energy(
     if not u.smooth:
         raise ValueError("local energy requires a smooth field")
     kernel = kernel or SphereMomentKernel(body, p, sphere_rule(body.dim, grid.sphere_nodes, body=body))
-    tg = _resolve_grid(u, grid)
-    values = np.zeros(len(tg.points))
-    idx = np.arange(len(tg.points))
-    if u.gradient_band is not None:
-        idx = idx[u.gradient_band(tg.points)]
-    for start in range(0, len(idx), _CHUNK):
-        sel = idx[start : start + _CHUNK]
-        values[sel] = kernel.norms_pow_p(magnetic_gradient(u, a, tg.points[sel]))
-    return tg.integrate(values)
+    return _integrate_gradient(u, a, grid, kernel.norms_pow_p)
 
 
 def total_variation_smooth(
@@ -84,18 +90,8 @@ def total_variation_smooth(
     nodes = grid.sphere_nodes or 0
     alt = sphere_rule(body.dim, (nodes or _default_nodes(body.dim)) * 3 // 2, body=body)
     kernel = SphereMomentKernel(body, 1.0, alt)
-    tg = _resolve_grid(u, grid)
-    values = np.zeros(len(tg.points))
-    idx = np.arange(len(tg.points))
-    if u.gradient_band is not None:
-        idx = idx[u.gradient_band(tg.points)]
-    for start in range(0, len(idx), _CHUNK):
-        sel = idx[start : start + _CHUNK]
-        mg = magnetic_gradient(u, a, tg.points[sel])
-        re_part = kernel.norms_pow_p(mg.real.astype(complex))
-        im_part = kernel.norms_pow_p(mg.imag.astype(complex))
-        values[sel] = re_part + im_part
-    return tg.integrate(values)
+    return _integrate_gradient(
+        u, a, grid, lambda mg: kernel.norms_pow_p(mg.real) + kernel.norms_pow_p(mg.imag))
 
 
 def _default_nodes(dim: int) -> int:
@@ -116,12 +112,12 @@ def anisotropic_perimeter(
     if float(areas.sum()) == 0.0:
         return 0.0
     if kernel is not None:
-        norms = kernel.norms_pow_p(region.normals.astype(complex))
+        norms = kernel.norms_pow_p(region.normals)
         return float(np.einsum("f,f->", areas, norms))
     total = 0.0
     for area, normal in zip(areas, region.normals):
-        rule = adapted_moment_rule(body, normal.astype(complex), order=48)
-        total += area * SphereMomentKernel(body, 1.0, rule).norm(normal.astype(complex))
+        rule = adapted_moment_rule(body, normal, order=48)
+        total += area * SphereMomentKernel(body, 1.0, rule).norm(normal)
     return float(total)
 
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
 from .bodies import Polytope
 from .spheres import sphere_rule
@@ -296,6 +294,9 @@ def _mollify_smooth(u: ComplexField, m: int, ang, radial_nodes: int) -> ComplexF
 
 
 def _mollify_indicator(u: ComplexField, m: int, ang) -> ComplexField:
+    from scipy.integrate import cumulative_simpson
+    from scipy.interpolate import CubicSpline
+
     dim = u.dim
     region = u.region
     grid = np.linspace(0.0, 1.0, 4097)

@@ -196,11 +196,21 @@ class IntegrationBudget:
 # ---------------------------------------------------------------------------
 # shared machinery
 
-# dense (points, sigma, h) ray grids are built for this many points at a time,
-# so their temporaries stay near cache size; the threshold functional bisects
-# the crossings of budget.chunk * _RAY_BATCH_CHUNKS points at once, for fewer
-# and longer array operations.  Neither changes any value.
-_SCAN_POINTS = 4
+# Every dense (point, sigma, h) grid is built in blocks of at most
+# _BLOCK_ELEMENTS nodes: several points with all their directions when one
+# point's grid is small, else one point and a slice of its directions (see
+# _grid_blocks).  A block's temporaries are then at most 192 KiB (complex or
+# 2-D points), and equal from block to block.  glibc maps an allocation of
+# 128 KiB or more with fresh pages, but after freeing the first one serves that
+# size from its heap and keeps the memory between blocks; blocks several times
+# larger were mapped, faulted in and unmapped again for every block unless an
+# earlier, larger allocation had raised those thresholds.  Per-(point, sigma)
+# results are assembled before any sum over sigma, so the block shape changes
+# no value.
+_BLOCK_ELEMENTS = 12288
+# the threshold functional finds the crossings of budget.chunk *
+# _RAY_BATCH_CHUNKS points before bisecting them, _BLOCK_ELEMENTS rays at a
+# time, so its bisection blocks are full; this changes no value either
 _RAY_BATCH_CHUNKS = 8
 
 
@@ -216,7 +226,7 @@ def _mixture_samples(dim: int, radius: float, tau: float, count: int, seed: int)
     """Defensive importance sampling on the ball: gaussian proposal matched to
     the integrand's spread, mixed with a uniform floor so far-field weights
     stay bounded.  Returns (points, mixture density at points)."""
-    from scipy.stats import chi2
+    from scipy.special import chdtr  # the chi-square cdf
 
     rng = np.random.default_rng(seed)
     n_gauss = int(0.7 * count)
@@ -237,7 +247,7 @@ def _mixture_samples(dim: int, radius: float, tau: float, count: int, seed: int)
     g /= np.sqrt(np.einsum("nk,nk->n", g, g))[:, None]
     pts_u = g * (radius * rng.random(n_unif) ** (1.0 / dim))[:, None]
     pts = np.vstack([pts_g, pts_u])
-    trunc = chi2.cdf((radius / tau) ** 2, dim)
+    trunc = chdtr(dim, (radius / tau) ** 2)
     r2 = np.einsum("nk,nk->n", pts, pts)
     rho_g = np.exp(-0.5 * r2 / tau**2) / ((2.0 * math.pi * tau**2) ** (dim / 2.0) * trunc)
     rho_u = 1.0 / (unit_ball_volume(dim) * radius**dim)
@@ -246,37 +256,37 @@ def _mixture_samples(dim: int, radius: float, tau: float, count: int, seed: int)
 
 
 def _ray_steps(h, sigma):
-    """Offsets h * sigma on the (sigma, h) grid as an (m, k, N) array.
+    """Offsets h * sigma on the (sigma, h) grid as (N, m, k) coordinate planes.
 
-    ``h`` is (k,) or per direction (m, k).  The array is stored one coordinate
-    plane at a time (its last axis is the slowest in memory), so points built
-    from it by _ray_points give field and potential evaluations long
-    contiguous runs instead of length-N inner loops; each entry is the same
-    product as in the interleaved layout.
+    ``h`` is (k,) or per direction (m, k).  Storing one coordinate plane at a
+    time gives the field and potential evaluations on the points built by
+    _ray_points long contiguous runs instead of length-N inner loops; each
+    entry is the same product as in the interleaved layout.
     """
-    planes = sigma.T[:, :, None] * h  # (N, m, k)
-    return np.moveaxis(planes, 0, -1)
+    return sigma.T[:, :, None] * h
 
 
-def _ray_points(x_chunk, steps):
-    """x + steps on the (chunk, sigma, h) grid, in the plane layout of _ray_steps."""
-    planes = np.empty((steps.shape[-1], len(x_chunk)) + steps.shape[:-1])
-    return np.add(x_chunk[:, None, None, :], steps[None], out=np.moveaxis(planes, 0, -1))
+def _ray_points(x, planes):
+    """x + planes on the (point, sigma, h) grid: a (c, m, k, N) view whose
+    coordinates are stored plane by plane, like the planes of _ray_steps."""
+    out = np.empty((planes.shape[0], len(x)) + planes.shape[1:])
+    np.add(x.T[:, :, None, None], planes[:, None], out=out)
+    return out.transpose(1, 2, 3, 0)
 
 
-def _psi_diff_pow(u, a, x_chunk, h, sigma, steps, half_steps, p):
-    """|Psi_u(x, x+h sigma) - Psi_u(x, x)|_p^p on the (chunk, sigma, h) grid.
+def _psi_diff_pow(u, a, x, ux, h, sigma, steps, half_steps, p):
+    """|Psi_u(x, x+h sigma) - Psi_u(x, x)|_p^p on the (point, sigma, h) grid.
 
-    ``steps`` and ``half_steps`` are _ray_steps(h, sigma) and
-    _ray_steps(0.5 * h, sigma), built once per functional; ``half_steps`` is
-    None to skip the magnetic phase.  ``h`` broadcasts against the trailing
-    (sigma, h) axes.  Returns the powers and the points y = x + h sigma.
+    ``ux`` is u(x); ``steps`` and ``half_steps`` are the planes
+    _ray_steps(h, sigma) and _ray_steps(0.5 * h, sigma), built once per
+    functional; ``half_steps`` is None to skip the magnetic phase.  ``h``
+    broadcasts against the trailing (sigma, h) axes.  Returns the powers and
+    the points y = x + h sigma.
     """
-    y = _ray_points(x_chunk, steps)
+    y = _ray_points(x, steps)
     uy = u.evaluate(y)
-    ux = u.evaluate(x_chunk)
     if half_steps is not None:
-        dot = np.einsum("cmhk,mk->cmh", a.evaluate(_ray_points(x_chunk, half_steps)), sigma)
+        dot = np.einsum("cmhk,mk->cmh", a.evaluate(_ray_points(x, half_steps)), sigma)
         rot = np.multiply(-1j * h, dot)
         uy = np.multiply(np.exp(rot, out=rot), uy, out=rot)
         diff = np.subtract(uy, ux[:, None, None], out=uy)
@@ -285,12 +295,19 @@ def _psi_diff_pow(u, a, x_chunk, h, sigma, steps, half_steps, p):
     return scalar_mixed_modulus_pow(diff, p), y
 
 
-def _in_blocks(values_fn):
-    """values_fn evaluated _SCAN_POINTS points at a time."""
-    def blocked(x_chunk):
-        return np.concatenate([values_fn(x_chunk[i : i + _SCAN_POINTS])
-                               for i in range(0, len(x_chunk), _SCAN_POINTS)])
-    return blocked
+def _grid_blocks(count, m, k, split_directions=True):
+    """(point slice, direction slice) blocks of a (count, m, k) grid with at
+    most _BLOCK_ELEMENTS nodes each: whole points when one point's (m, k) grid
+    fits, else one point at a time with its directions split evenly.  A block
+    exceeds the budget only where it cannot be split further: one direction's
+    k nodes, or one point's whole grid when ``split_directions`` is False."""
+    if m * k <= _BLOCK_ELEMENTS or not split_directions:
+        step = max(1, _BLOCK_ELEMENTS // (m * k))
+        return [(slice(i, i + step), slice(0, m)) for i in range(0, count, step)]
+    parts = min(m, -(-m * k // _BLOCK_ELEMENTS))
+    step = -(-m // parts)
+    return [(slice(i, i + 1), slice(j, j + step))
+            for i in range(count) for j in range(0, m, step)]
 
 
 def _outer_integrate(values_fn, dim, radius, budget, seed_label, mask_radius=None,
@@ -371,25 +388,31 @@ def _gagliardo_like(u, a, body, p, s, budget, use_psi, seed):
         return _gagliardo_indicator(u, body, s, budget, rule, kernel_w)
 
     h_nodes, h_weights = _gagliardo_radial(p, s, h_max, budget)
+    h_pow = h_nodes**p
     steps = _ray_steps(h_nodes, rule.nodes)
     half_steps = _ray_steps(0.5 * h_nodes, rule.nodes) if use_psi and not a.is_zero else None
     sup2 = u.support_radius**2
     tail_factor = h_max ** (-p * s) / (p * s) * float(np.einsum("m->", kernel_w))
 
     def values_fn(x_chunk):
-        gpow, y = _psi_diff_pow(u, a, x_chunk, h_nodes, rule.nodes, steps, half_steps, p)
-        qpow = gpow / h_nodes[None, None, :] ** p
-        if symmetric:
-            outside = np.einsum("cmhk,cmhk->cmh", y, y) > sup2
-            qpow = qpow * (1.0 + outside)
-        rad = np.einsum("cmh,h->cm", qpow, h_weights)
+        ux = u.evaluate(x_chunk)
+        rad = np.empty((len(x_chunk), rule.size))
+        for pts, dirs in _grid_blocks(len(x_chunk), rule.size, len(h_nodes)):
+            half = half_steps[:, dirs] if half_steps is not None else None
+            gpow, y = _psi_diff_pow(u, a, x_chunk[pts], ux[pts], h_nodes, rule.nodes[dirs],
+                                    steps[:, dirs], half, p)
+            qpow = np.divide(gpow, h_pow, out=gpow)
+            if symmetric:
+                outside = np.einsum("cmhk,cmhk->cmh", y, y) > sup2
+                np.multiply(qpow, 1.0 + outside, out=qpow)
+            rad[pts, dirs] = np.einsum("cmh,h->cm", qpow, h_weights)
         vals = np.einsum("cm,m->c", rad, kernel_w)
-        ux_pow = scalar_mixed_modulus_pow(u.evaluate(x_chunk), p)
+        ux_pow = scalar_mixed_modulus_pow(ux, p)
         tails = ux_pow * tail_factor * (2.0 if symmetric else 1.0)
         return vals + tails
 
     tau = _importance_tau(u) if budget.outer == "montecarlo" else None
-    return _outer_integrate(_in_blocks(values_fn), dim, radius, budget,
+    return _outer_integrate(values_fn, dim, radius, budget,
                             derive_seed(budget.seed, "gagliardo", seed), mask_radius=radius,
                             importance_tau=tau)
 
@@ -509,33 +532,22 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
     delta_pow = delta**p
     m_count = rule.size
 
-    def crossings(x_chunk):
-        """(point, direction, scan cell, rising) of every threshold crossing."""
-        c = len(x_chunk)
-        gpow, _ = _psi_diff_pow(u, a, x_chunk, scan, rule.nodes, steps, half_steps, p)
+    def crossings(x, ux, dirs):
+        """(point, direction, scan cell, rising) of every threshold crossing
+        in one grid block; directions count from the start of the slice."""
+        half = half_steps[:, dirs] if use_phase else None
+        gpow, _ = _psi_diff_pow(u, a, x, ux, scan, rule.nodes[dirs], steps[:, dirs], half, p)
         fires = gpow > delta_pow  # (c, m, k)
         # prepend h = 0 (never fires); the last scan node sits at h_max where
         # the difference equals |u(x)|_p, so the state there persists to infinity
-        state = np.concatenate([np.zeros((c, m_count, 1), dtype=bool), fires], axis=2)
+        state = np.concatenate([np.zeros(fires.shape[:2] + (1,), dtype=bool), fires], axis=2)
         flips = state[:, :, 1:] != state[:, :, :-1]
         # flips are sparse: the flat search is much faster than a 3-D nonzero
         ci, mi, ki = np.unravel_index(np.flatnonzero(flips), flips.shape)
         return ci, mi, ki, ~state[ci, mi, ki]  # rising: crossing from below
 
-    def values_fn(x_batch):
-        starts = range(0, len(x_batch), _SCAN_POINTS)
-        parts = [crossings(x_batch[i : i + _SCAN_POINTS]) for i in starts]
-        ci = np.concatenate([part[0] + i for part, i in zip(parts, starts)])
-        mi, ki, rising = (np.concatenate(col) for col in list(zip(*parts))[1:])
-        c = len(x_batch)
-        if len(ci) == 0:
-            return np.zeros(c)
-        lo = edges[ki]
-        hi = edges[ki + 1]
-        # rays as coordinate planes, like the scan grid
-        x_rays = x_batch.T[:, ci].T
-        s_rays = rule.nodes.T[:, mi].T
-        ux_rays = u.evaluate(x_rays)
+    def bisect(x_rays, ux_rays, s_rays, lo, hi, rising):
+        """Crossing radius on each ray, from its bracketing scan cell [lo, hi]."""
         for _ in range(budget.bisection_iters):
             mid = 0.5 * (lo + hi)
             y = x_rays + mid[:, None] * s_rays
@@ -548,7 +560,25 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
             on_far_side = above == rising
             np.copyto(hi, mid, where=on_far_side)
             np.copyto(lo, mid, where=~on_far_side)
-        crossing = 0.5 * (lo + hi)
+        return 0.5 * (lo + hi)
+
+    def values_fn(x_batch):
+        ux = u.evaluate(x_batch)
+        parts = []
+        for pts, dirs in _grid_blocks(len(x_batch), m_count, len(scan)):
+            ci, mi, ki, rising = crossings(x_batch[pts], ux[pts], dirs)
+            parts.append((ci + pts.start, mi + dirs.start, ki, rising))
+        ci, mi, ki, rising = (np.concatenate(col) for col in zip(*parts))
+        c = len(x_batch)
+        if len(ci) == 0:
+            return np.zeros(c)
+        crossing = np.empty(len(ci))
+        for start in range(0, len(ci), _BLOCK_ELEMENTS):
+            rays = slice(start, start + _BLOCK_ELEMENTS)
+            # rays as coordinate planes, like the scan grid
+            crossing[rays] = bisect(x_batch.T[:, ci[rays]].T, ux[ci[rays]],
+                                    rule.nodes.T[:, mi[rays]].T, edges[ki[rays]],
+                                    edges[ki[rays] + 1], rising[rays])
         signed = np.where(rising, 1.0, -1.0) * crossing ** (-p)
         ray_vals = np.zeros((c, m_count))
         np.add.at(ray_vals, (ci, mi), signed)
@@ -603,11 +633,20 @@ def _bbm_shrinking_smooth(u, spec, budget, seed):
     radius = u.support_radius + float(np.max(h_sup))
     # per-(sigma, h) quadrature weight: rho/g^p * h^(N-1) * dh
     w_mr = (rho_const / g**p)[:, None] * h_nodes ** (dim - 1) * (h_sup[:, None] * wxi[None, :])
+    h_pow = h_nodes**p
 
     def values_fn(x_chunk):
-        gpow, _ = _psi_diff_pow(u, a, x_chunk, h_nodes, rule.nodes, steps, half_steps, p)
-        qpow = gpow / h_nodes[None, :, :] ** p
-        return np.einsum("cmr,mr,m->c", qpow, w_mr, rule.weights)
+        ux = u.evaluate(x_chunk)
+        vals = np.empty(len(x_chunk))
+        # the contraction sums over (sigma, h) in one pass, so a block never
+        # splits a point's directions: that would reorder the sum
+        for pts, _ in _grid_blocks(len(x_chunk), rule.size, h_nodes.shape[1],
+                                   split_directions=False):
+            gpow, _ = _psi_diff_pow(u, a, x_chunk[pts], ux[pts], h_nodes, rule.nodes, steps,
+                                    half_steps, p)
+            qpow = np.divide(gpow, h_pow, out=gpow)
+            vals[pts] = np.einsum("cmr,mr,m->c", qpow, w_mr, rule.weights)
+        return vals
 
     tau = _importance_tau(u) if budget.outer == "montecarlo" else None
     return _outer_integrate(values_fn, dim, radius, budget,

@@ -14,7 +14,6 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .bodies import ConvexBody
 from .energy import GridSpec, anisotropic_perimeter, local_energy
@@ -149,6 +148,8 @@ def extrapolate(points) -> Extrapolation:
     cov_lin = np.linalg.inv(gram) * max(float(np.sum(r_lin**2) / max(len(t) - 2, 1)), 1.0)
     stderr_lin = float(math.sqrt(max(cov_lin[0, 0], 0.0)))
     linear = Extrapolation(c_lin, 1.0, residual_lin, aitken, stderr_lin, False, "linear")
+
+    from scipy.optimize import least_squares
 
     x0 = np.array([c_lin, a_lin if a_lin != 0.0 else 1e-6, 1.0])
     fit = least_squares(resid, x0, bounds=([-np.inf, -np.inf, 0.05], [np.inf, np.inf, 4.0]),

@@ -12,6 +12,17 @@ equivalent surface representation
 Agreement of the two routes is itself a correctness check and is exercised by
 the acceptance suite.  All hot-path contractions use einsum/broadcasting (no
 BLAS) so results are bitwise reproducible regardless of threading.
+
+At p = 2 the surface sum is a quadratic form: with the rule's nodes sigma_m
+and kernel weights w_m,
+
+    sum_m w_m |v . sigma_m|_2^2 = <M Re v, Re v> + <M Im v, Im v>,
+    M = sum_m w_m sigma_m sigma_m^T,
+
+so SphereMomentKernel builds the N x N second-moment matrix M once (the L2
+moment body is an ellipsoid) and contracts each vector with it instead of
+projecting it on every node.  This is the same quadrature sum in another
+order; values move only by rounding.
 """
 
 from __future__ import annotations
@@ -20,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .bodies import ConvexBody
 from .seeding import derive_seed
@@ -28,6 +38,9 @@ from .spheres import SphereRule, circle_panels, slice_rule, sphere_rule
 
 # relative accuracy of the multistart ascent in dual_norm_z1 at N <= 3
 DUAL_NORM_RELATIVE_TOL = 1e-4
+# a surface sum is known to no better than rounding, even where the fine and
+# coarse rules agree exactly (QUADPACK floors its estimates the same way)
+ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 
 
 def mixed_modulus(z, p: float) -> float | np.ndarray:
@@ -61,11 +74,37 @@ def mixed_pow_parts(re, im, p: float) -> np.ndarray:
     return np.abs(re) ** p + np.abs(im) ** p
 
 
-def _projections(v: np.ndarray, nodes: np.ndarray, subscripts: str):
+def _parts(v) -> tuple[np.ndarray, np.ndarray | None]:
+    """Re v and Im v of a real or complex batch; Im v is None when it is zero."""
+    v = np.asarray(v)
+    if not np.iscomplexobj(v):
+        return v.astype(float, copy=False), None
+    return v.real, (v.imag if v.imag.any() else None)
+
+
+def _projections(v, nodes: np.ndarray, subscripts: str):
     """Real and imaginary parts of v . nodes; the imaginary part is 0 for real v."""
-    re = np.einsum(subscripts, v.real, nodes)
-    im = np.einsum(subscripts, v.imag, nodes) if v.imag.any() else 0.0
-    return re, im
+    re, im = _parts(v)
+    return (np.einsum(subscripts, re, nodes),
+            np.einsum(subscripts, im, nodes) if im is not None else 0.0)
+
+
+def _second_moment(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """M = sum_m weights_m nodes_m nodes_m^T, the N x N matrix of the p = 2 form."""
+    return np.einsum("m,mk,ml->kl", weights, nodes, nodes)
+
+
+def _surface_pow_p(v, nodes, weights, moment, p: float) -> np.ndarray:
+    """sum_m weights_m |v . nodes_m|_p^p over the trailing axis of v; through
+    the second-moment matrix ``moment`` when it is given (p = 2)."""
+    if moment is None:
+        re, im = _projections(v, nodes, "...k,mk->...m")
+        return np.einsum("...m,m->...", mixed_pow_parts(re, im, p), weights)
+    re, im = _parts(v)
+    val = np.einsum("...k,kl,...l->...", re, moment, re)
+    if im is not None:
+        val = val + np.einsum("...k,kl,...l->...", im, moment, im)
+    return val
 
 
 def _kpn_adapted(p: float, dim: int, omega: np.ndarray) -> float:
@@ -169,31 +208,33 @@ class SphereMomentKernel:
             raise ValueError("sphere rule dimension does not match the body")
         g = body.gauge(self.rule.nodes)
         self.kernel_weights = self.rule.weights / g ** (body.dim + p) / p
+        self._moment = self._moment_of(self.rule.nodes, self.kernel_weights)
         coarse = self.rule.coarse
         self._coarse = None
         if coarse is not None:
             gc = body.gauge(coarse.nodes)
-            self._coarse = (coarse.nodes, coarse.weights / gc ** (body.dim + p) / p)
+            weights = coarse.weights / gc ** (body.dim + p) / p
+            self._coarse = (coarse.nodes, weights, self._moment_of(coarse.nodes, weights))
 
-    def norms_pow_p(self, v: np.ndarray) -> np.ndarray:
-        """||v_i||^p for an (..., N) complex batch."""
-        v = np.asarray(v, dtype=complex)
-        re, im = _projections(v, self.rule.nodes, "...k,mk->...m")
-        return np.einsum("...m,m->...", mixed_pow_parts(re, im, self.p), self.kernel_weights)
+    def _moment_of(self, nodes, weights):
+        return _second_moment(nodes, weights) if self.p == 2.0 else None
+
+    def norms_pow_p(self, v) -> np.ndarray:
+        """||v_i||^p for an (..., N) real or complex batch."""
+        return _surface_pow_p(v, self.rule.nodes, self.kernel_weights, self._moment, self.p)
 
     def norm(self, v) -> float:
-        return float(self.norms_pow_p(np.asarray(v, dtype=complex))) ** (1.0 / self.p)
+        return float(self.norms_pow_p(v)) ** (1.0 / self.p)
 
     def norm_error_estimate(self, v) -> float:
-        """|value - value(coarse rule)| as a quadrature error proxy."""
-        if self._coarse is None:
-            return 0.0
-        v = np.asarray(v, dtype=complex)
-        nodes, weights = self._coarse
-        re, im = _projections(v, nodes, "...k,mk->...m")
-        coarse_pow = np.einsum("...m,m->...", mixed_pow_parts(re, im, self.p), weights)
-        fine = self.norms_pow_p(v)
-        return float(np.max(np.abs(fine ** (1.0 / self.p) - coarse_pow ** (1.0 / self.p))))
+        """|value - value(coarse rule)| as a quadrature error proxy, at least
+        ROUNDING_FLOOR relative to the value."""
+        fine = self.norms_pow_p(v) ** (1.0 / self.p)
+        gap = 0.0
+        if self._coarse is not None:
+            coarse = _surface_pow_p(v, *self._coarse, self.p) ** (1.0 / self.p)
+            gap = np.max(np.abs(fine - coarse))
+        return float(max(gap, ROUNDING_FLOOR * np.max(fine)))
 
 
 @dataclass(frozen=True)
@@ -305,17 +346,16 @@ def dual_norm_z1(body: ConvexBody, w, rule: SphereRule | None = None) -> float:
         return 0.0
     kernel = SphereMomentKernel(body, 1.0, rule or sphere_rule(body.dim, body=body))
     scan = sphere_rule(body.dim, 1024 if body.dim == 2 else 8192, body=body)
-    ratios = np.einsum("mk,k->m", scan.nodes, w) / kernel.norms_pow_p(scan.nodes.astype(complex))
+    ratios = np.einsum("mk,k->m", scan.nodes, w) / kernel.norms_pow_p(scan.nodes)
     best = float(np.max(ratios))
     if body.dim == 1:
         return best
 
     def neg_ratio_angles(angles: np.ndarray) -> float:
         sigma = _sigma_from_angles(angles, body.dim)
-        val = float(np.einsum("k,k->", sigma, w)) / float(
-            kernel.norms_pow_p(sigma.astype(complex))
-        )
-        return -val
+        return -float(np.einsum("k,k->", sigma, w)) / float(kernel.norms_pow_p(sigma))
+
+    from scipy import optimize
 
     start = scan.nodes[int(np.argmax(ratios))]
     x0 = _angles_from_sigma(start)
@@ -330,7 +370,7 @@ def dual_norm_z1_batch(body: ConvexBody, ws, rule: SphereRule | None = None) -> 
     ws = np.atleast_2d(np.asarray(ws, dtype=float))
     if body.dim == 1:
         kernel = SphereMomentKernel(body, 1.0, rule or sphere_rule(1))
-        norm_plus = float(kernel.norms_pow_p(np.array([1.0 + 0j])))
+        norm_plus = float(kernel.norms_pow_p(np.array([1.0])))
         return np.abs(ws[:, 0]) / norm_plus
     if body.dim != 2:
         return np.array([dual_norm_z1(body, w, rule) for w in ws])
@@ -338,7 +378,7 @@ def dual_norm_z1_batch(body: ConvexBody, ws, rule: SphereRule | None = None) -> 
     m = 2048
     theta = 2.0 * np.pi * np.arange(m) / m
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    inv_norms = 1.0 / kernel.norms_pow_p(dirs.astype(complex))
+    inv_norms = 1.0 / kernel.norms_pow_p(dirs)
     ratios = np.einsum("nk,mk->nm", ws, dirs) * inv_norms[None, :]
     j = np.argmax(ratios, axis=1)
     rows = np.arange(len(ws))
@@ -352,7 +392,7 @@ def dual_norm_z1_batch(body: ConvexBody, ws, rule: SphereRule | None = None) -> 
     shift = np.clip(shift, -1.0, 1.0) * (2.0 * np.pi / m)
     t_ref = theta[j] + shift
     refined = np.stack([np.cos(t_ref), np.sin(t_ref)], axis=1)
-    f_ref = np.einsum("nk,nk->n", ws, refined) / kernel.norms_pow_p(refined.astype(complex))
+    f_ref = np.einsum("nk,nk->n", ws, refined) / kernel.norms_pow_p(refined)
     return np.maximum(f0, f_ref)
 
 

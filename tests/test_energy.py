@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import anisomag as am
@@ -56,6 +58,33 @@ class TestLocalEnergy:
         fine_val, fine_err = am.local_energy(am.gaussian(2), am.zero_potential(2),
                                              am.cube(2), 2.0, am.GridSpec(resolution=96))
         assert abs(coarse_val - fine_val) <= max(coarse_err * 2, 1e-8)
+
+
+_SCALED_BODIES = {
+    "ball": lambda lam: am.EuclideanBall(2, lam),
+    "ellipse": lambda lam: am.Ellipsoid.from_semi_axes([2.0 * lam, lam]),
+    "hexagon": lambda lam: am.regular_hexagon(inradius=lam),
+}
+
+
+class TestLocalEnergyScaling:
+    """gauge_{lam K} = gauge_K / lam and the kernel is 1/gauge^(N+p), so
+    local_energy(lam K) = lam^(N+p) local_energy(K).  p = 2 contracts through
+    the second-moment matrix, p = 1.5 node by node."""
+
+    @staticmethod
+    def _energy(name, p, lam):
+        u = am.modulated_gaussian(2, [1.0, 0.5])
+        a = am.rotational_potential(0.8)
+        val, _ = am.local_energy(u, a, _SCALED_BODIES[name](lam), p, am.GridSpec(resolution=24))
+        return val
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(sorted(_SCALED_BODIES)), lam=st.floats(0.5, 2.0))
+    def test_scaling_identity(self, p, name, lam):
+        assert self._energy(name, p, lam) == pytest.approx(
+            lam ** (2 + p) * self._energy(name, p, 1.0), rel=1e-12, abs=0.0)
 
 
 class TestTotalVariation:

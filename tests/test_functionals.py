@@ -4,6 +4,10 @@ spherical change of variables, and the lower-bound/monotonicity properties."""
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,3 +384,46 @@ class TestBbm:
         weak, _ = am.bbm(ind, am.FunctionalSpec(am.Bbm(fam, 8), 1.0, ball,
                                                 am.rotational_potential(1e-3)), budget)
         assert weak == pytest.approx(plain, rel=2e-3)
+
+
+# One evaluation of a dense-grid functional in a fresh interpreter, where the
+# C allocator has not yet raised its mmap and trim thresholds; prints the
+# minor page faults the evaluation takes.
+_FAULT_PROBE = r"""
+import resource
+import sys
+
+import scipy.special  # imported by the Monte Carlo proposal on first use
+
+import anisomag as am
+from anisomag.functionals import ShrinkingUniformFamily
+
+disk, rot = am.EuclideanBall(2), am.rotational_potential(1.0)
+wave = am.modulated_gaussian(2, [1.0, 0.0])
+fn, u, spec, budget = {
+    "gagliardo": (am.gagliardo, am.gaussian(2),
+                  am.FunctionalSpec(am.Gagliardo(0.96), 2.0, disk, am.zero_potential(2)),
+                  am.IntegrationBudget(outer="tensor", resolution=32, sphere_nodes=64)),
+    "nguyen": (am.nguyen, wave, am.FunctionalSpec(am.Nguyen(0.05), 2.0, disk, rot),
+               am.IntegrationBudget(outer="montecarlo", samples=64, sphere_nodes=96)),
+    "bbm": (am.bbm, wave, am.FunctionalSpec(am.Bbm(ShrinkingUniformFamily(2, 2.0), 8), 2.0, disk, rot),
+            am.IntegrationBudget(outer="tensor", resolution=32, sphere_nodes=96)),
+}[sys.argv[1]]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+fn(u, spec, budget, seed=1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="page-fault counts from getrusage are read on Linux only")
+@pytest.mark.parametrize("kind", ["gagliardo", "nguyen", "bbm"])
+def test_dense_grids_recycle_their_memory(kind):
+    # every dense block stays small enough to be recycled from block to block
+    # without a warmed allocator; mapping fresh pages for each block cost
+    # 15k-130k faults per evaluation at these sizes
+    src = str(Path(am.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE, kind], capture_output=True,
+                         text=True, env=env, check=True, timeout=600).stdout
+    assert int(out) < 10_000

@@ -11,7 +11,8 @@ from scipy.integrate import quad
 from scipy.special import gamma
 
 import anisomag as am
-from anisomag.norms import dual_norm_z1_batch
+from anisomag.norms import ROUNDING_FLOOR, dual_norm_z1_batch
+from anisomag.seeding import derive_seed
 
 
 def kpn_closed_form(p: float, dim: int) -> float:
@@ -224,3 +225,87 @@ class TestDualNorm:
         body = am.EuclideanBall(1, radius=2.0)
         val = am.dual_norm_z1(body, [3.0])
         assert val == pytest.approx(3.0 / 8.0, rel=1e-9)
+
+
+def _node_sum(nodes, weights, v):
+    """The p = 2 surface sum taken node by node: sum_m w_m |v . sigma_m|_2^2."""
+    re = np.einsum("...k,mk->...m", np.real(v), nodes)
+    im = np.einsum("...k,mk->...m", np.imag(v), nodes)
+    return np.einsum("...m,m->...", re**2 + im**2, weights)
+
+
+_P2_BODIES = {
+    "ball": lambda: am.EuclideanBall(2),
+    "cube": lambda: am.cube(2),
+    "hexagon": am.regular_hexagon,
+    "ellipse": lambda: am.Ellipsoid.from_semi_axes([2.0, 1.0]),
+    "cube3": lambda: am.cube(3),
+    "interval": lambda: am.EuclideanBall(1, radius=2.0),
+}
+
+
+class TestSecondMomentPath:
+    """At p = 2 the kernel contracts with its second-moment matrix; that is the
+    node-by-node sum in another order, so the two agree to rounding."""
+
+    @pytest.mark.parametrize("name", sorted(_P2_BODIES))
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_node_sum(self, name, kind):
+        body = _P2_BODIES[name]()
+        kernel = am.SphereMomentKernel(body, 2.0)
+        rng = np.random.default_rng(derive_seed(5, name, kind))
+        v = rng.standard_normal((7, 3, body.dim))
+        if kind == "complex":
+            v = v + 1j * rng.standard_normal(v.shape)
+        ref = _node_sum(kernel.rule.nodes, kernel.kernel_weights, v)
+        got = kernel.norms_pow_p(v)
+        assert got.shape == (7, 3)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+        assert kernel.norm(v[0, 0]) == pytest.approx(math.sqrt(ref[0, 0]), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("name", sorted(_P2_BODIES))
+    def test_error_estimate_matches_node_sums(self, name):
+        body = _P2_BODIES[name]()
+        kernel = am.SphereMomentKernel(body, 2.0)
+        rng = np.random.default_rng(derive_seed(6, name))
+        v = rng.standard_normal((4, body.dim)) + 1j * rng.standard_normal((4, body.dim))
+        fine = np.sqrt(_node_sum(kernel.rule.nodes, kernel.kernel_weights, v))
+        coarse = kernel.rule.coarse
+        gap = 0.0
+        if coarse is not None:
+            weights = coarse.weights / body.gauge(coarse.nodes) ** (body.dim + 2.0) / 2.0
+            gap = float(np.max(np.abs(fine - np.sqrt(_node_sum(coarse.nodes, weights, v)))))
+        ref = max(gap, ROUNDING_FLOOR * float(np.max(fine)))
+        # the estimate is a difference of near-equal values: compare it on
+        # the scale of the values themselves
+        got = kernel.norm_error_estimate(v)
+        assert abs(got - ref) <= 1e-13 * float(np.max(fine))
+
+    @pytest.mark.parametrize("name", sorted(_P2_BODIES))
+    def test_error_estimate_covers_the_reordered_sum(self, name):
+        # where both rules integrate the quadratic exactly (ball, interval)
+        # the coarse gap is 0 or rounding; the rounding floor must still
+        # cover the difference between the two summation orders
+        body = _P2_BODIES[name]()
+        kernel = am.SphereMomentKernel(body, 2.0)
+        rng = np.random.default_rng(derive_seed(7, name))
+        for _ in range(20):
+            v = rng.standard_normal(body.dim) + 1j * rng.standard_normal(body.dim)
+            node_value = math.sqrt(float(_node_sum(kernel.rule.nodes, kernel.kernel_weights, v)))
+            assert abs(kernel.norm(v) - node_value) <= kernel.norm_error_estimate(v)
+
+    @pytest.mark.parametrize("name", sorted(_P2_BODIES))
+    def test_zero_vector_is_exactly_zero(self, name):
+        body = _P2_BODIES[name]()
+        kernel = am.SphereMomentKernel(body, 2.0)
+        assert kernel.norm(np.zeros(body.dim)) == 0.0
+        assert kernel.norm(np.zeros(body.dim, dtype=complex)) == 0.0
+        assert np.all(kernel.norms_pow_p(np.zeros((3, body.dim))) == 0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_real_batch_equals_its_complex_copy(self, p):
+        # real input skips the imaginary part; the values are bit-identical
+        kernel = am.SphereMomentKernel(am.regular_hexagon(), p)
+        v = np.random.default_rng(8).standard_normal((50, 2))
+        assert np.array_equal(kernel.norms_pow_p(v), kernel.norms_pow_p(v.astype(complex)))
+        assert kernel.norm_error_estimate(v) == kernel.norm_error_estimate(v.astype(complex))
