@@ -26,6 +26,13 @@ class ComplexField:
 
     ``smooth`` fields carry a gradient closure; indicator fields carry the
     polytope region instead and are only accepted by the p = 1 pipelines.
+
+    ``envelope``, when given, maps an array of radii r >= 0 to two arrays of
+    the same shape, (M(r), E(r)) with M(r) >= sup |u(y)| and E(r) >= sup
+    |grad u(y)| over |y| >= r (|grad u| the Euclidean norm of the complex
+    gradient), both nonincreasing in r.  The threshold functional uses it to
+    certify scan cells without evaluating them; a field without one is
+    scanned node by node.
     """
 
     dim: int
@@ -38,6 +45,8 @@ class ComplexField:
     # optional predicate: where the gradient can be nonzero (mollified
     # indicators concentrate it in a thin band, which integrators exploit)
     gradient_band: Callable[[np.ndarray], np.ndarray] | None = dc_field(default=None, repr=False)
+    envelope: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = dc_field(
+        default=None, repr=False)
 
     def __call__(self, x) -> np.ndarray:
         return self.evaluate(np.asarray(x, dtype=float))
@@ -88,8 +97,13 @@ def gaussian(dim: int, amplitude: float = 1.0) -> ComplexField:
     def gr(x):
         return -x * ev(x)[..., None]
 
+    def env(r):
+        # |grad u| = |y| |u(y)| peaks at |y| = 1
+        mag = abs(amplitude) * np.exp(-0.5 * r * r)
+        return mag, np.where(r < 1.0, abs(amplitude) * math.exp(-0.5), r * mag)
+
     return ComplexField(dim, ev, gr, GAUSSIAN_EFFECTIVE_RADIUS, True,
-                        f"gaussian(a={amplitude:g})")
+                        f"gaussian(a={amplitude:g})", envelope=env)
 
 
 def modulated_gaussian(dim: int, wave) -> ComplexField:
@@ -106,8 +120,18 @@ def modulated_gaussian(dim: int, wave) -> ComplexField:
     def gr(x):
         return (1j * k - x) * ev(x)[..., None]
 
+    # |grad u|^2 = (|k|^2 + s^2) exp(-s^2) at |y| = s peaks at s^2 = 1 - |k|^2
+    k2 = float(np.einsum("k,k->", k, k))
+    peak = math.sqrt(max(0.0, 1.0 - k2))
+    grad_peak = math.sqrt(k2 + peak * peak) * math.exp(-0.5 * peak * peak)
+
+    def env(r):
+        r2 = r * r
+        mag = np.exp(-0.5 * r2)
+        return mag, np.where(r < peak, grad_peak, np.sqrt(k2 + r2) * mag)
+
     return ComplexField(dim, ev, gr, GAUSSIAN_EFFECTIVE_RADIUS, True,
-                        f"modulated_gaussian(k={k.tolist()})")
+                        f"modulated_gaussian(k={k.tolist()})", envelope=env)
 
 
 def bump(dim: int) -> ComplexField:
@@ -129,7 +153,11 @@ def bump(dim: int) -> ComplexField:
         out[inside] = -2.0 * x[inside] * (u / denom)[..., None]
         return out
 
-    return ComplexField(dim, ev, gr, 1.0, True, "bump")
+    def env(r):
+        # |grad u| = -bump'(s) at |y| = s peaks where 3 s^4 = 1
+        return _bump_profile(r), -_bump_profile_deriv(np.maximum(r, 3.0**-0.25))
+
+    return ComplexField(dim, ev, gr, 1.0, True, "bump", envelope=env)
 
 
 def zero_field(dim: int) -> ComplexField:
@@ -139,7 +167,10 @@ def zero_field(dim: int) -> ComplexField:
     def gr(x):
         return np.zeros(x.shape, dtype=complex)
 
-    return ComplexField(dim, ev, gr, 1.0, True, "zero")
+    def env(r):
+        return np.zeros_like(r), np.zeros_like(r)
+
+    return ComplexField(dim, ev, gr, 1.0, True, "zero", envelope=env)
 
 
 def indicator(region: Polytope) -> ComplexField:

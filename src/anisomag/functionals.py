@@ -9,7 +9,14 @@ the direction sigma, and a radial integral in h along the ray y = x + h*sigma
   added in closed form.
 * threshold functional: the superlevel set of the kernel difference is
   located by bracketing + bisection on a graded scan grid, then h^(-1-p) is
-  integrated exactly over the resulting intervals.
+  integrated exactly over the resulting intervals.  The scan is certified
+  coarse to fine: it evaluates every 8th scan node (and the last), and a
+  Lipschitz bound on f(h) = |Psi(x, x + h sigma) - u(x)|_p, built from the
+  field's envelope and the potential's Lipschitz constant, settles most cells
+  between two of them without evaluating their inner nodes.  Only the cells
+  the bound leaves open are scanned node by node, in the layout of the full
+  scan, so every crossing, and every value, is the one the full scan finds.
+  A field without an envelope is scanned node by node.
 * mollified (BBM) functional: smooth radial integrand on the mollifier
   support; for polytope indicators the ray/region intersection makes the
   radial pieces explicit.
@@ -212,6 +219,9 @@ _BLOCK_ELEMENTS = 12288
 # _RAY_BATCH_CHUNKS points before bisecting them, _BLOCK_ELEMENTS rays at a
 # time, so its bisection blocks are full; this changes no value either
 _RAY_BATCH_CHUNKS = 8
+# the threshold scan evaluates every _SCAN_STRIDE-th scan node first, and the
+# nodes in between only in the cells its Lipschitz certificate leaves open
+_SCAN_STRIDE = 8
 
 
 def _ball_samples(dim: int, radius: float, count: int, seed: int) -> np.ndarray:
@@ -274,6 +284,21 @@ def _ray_points(x, planes):
     return out.transpose(1, 2, 3, 0)
 
 
+def _kernel_diff_pow(u, a, ux, y, mid, h, sigma, subscripts, p):
+    """|exp(-i h sigma.A(mid)) u(y) - u(x)|_p^p at the points y = x + h sigma.
+
+    ``mid`` holds the midpoints x + (h/2) sigma, or is None to skip the
+    magnetic phase; ``subscripts`` contracts A(mid) with ``sigma`` to the
+    shape of ``h``, and ``ux`` broadcasts against it.
+    """
+    uy = u.evaluate(y)
+    if mid is None:
+        return scalar_mixed_modulus_pow(uy - ux, p)
+    rot = np.multiply(-1j * h, np.einsum(subscripts, a.evaluate(mid), sigma))
+    uy = np.multiply(np.exp(rot, out=rot), uy, out=rot)
+    return scalar_mixed_modulus_pow(np.subtract(uy, ux, out=uy), p)
+
+
 def _psi_diff_pow(u, a, x, ux, h, sigma, steps, half_steps, p):
     """|Psi_u(x, x+h sigma) - Psi_u(x, x)|_p^p on the (point, sigma, h) grid.
 
@@ -284,15 +309,8 @@ def _psi_diff_pow(u, a, x, ux, h, sigma, steps, half_steps, p):
     the points y = x + h sigma.
     """
     y = _ray_points(x, steps)
-    uy = u.evaluate(y)
-    if half_steps is not None:
-        dot = np.einsum("cmhk,mk->cmh", a.evaluate(_ray_points(x, half_steps)), sigma)
-        rot = np.multiply(-1j * h, dot)
-        uy = np.multiply(np.exp(rot, out=rot), uy, out=rot)
-        diff = np.subtract(uy, ux[:, None, None], out=uy)
-    else:
-        diff = uy - ux[:, None, None]
-    return scalar_mixed_modulus_pow(diff, p), y
+    mid = _ray_points(x, half_steps) if half_steps is not None else None
+    return _kernel_diff_pow(u, a, ux[:, None, None], y, mid, h, sigma, "cmhk,mk->cmh", p), y
 
 
 def _grid_blocks(count, m, k, split_directions=True):
@@ -526,36 +544,112 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
         max_step = min(0.5, math.pi / (4.0 * amax)) if amax > 1e-12 else 0.5
     scan = _scan_grid(h_max, budget, max_step)
     use_phase = not a.is_zero
-    steps = _ray_steps(scan, rule.nodes)
-    half_steps = _ray_steps(0.5 * scan, rule.nodes) if use_phase else None
+    stride = _SCAN_STRIDE if u.envelope is not None else 1
+    coarse = np.arange(0, len(scan), stride)
+    if coarse[-1] != len(scan) - 1:
+        coarse = np.append(coarse, len(scan) - 1)
+    # scan indices inside each coarse cell, (stride - 1, cells); a short last
+    # cell repeats its last inner node, and a cell without inner nodes is
+    # never opened
+    inner = np.minimum(coarse[None, :-1] + np.arange(1, stride)[:, None], coarse[None, 1:] - 1)
+    has_inner = np.diff(coarse) > 1
+    h_inner = scan[inner]
+    # the scan index after each step across a cell: its inner nodes, then its right end
+    step_to = np.concatenate([inner, coarse[None, 1:]])
+    h_coarse = scan[coarse]
+    h_lo, h_hi = h_coarse[:-1], h_coarse[1:]
+    steps = _ray_steps(h_coarse, rule.nodes)
+    half_steps = _ray_steps(0.5 * h_coarse, rule.nodes) if use_phase else None
     edges = np.concatenate([[0.0], scan])
     delta_pow = delta**p
     m_count = rule.size
+    # Along a ray |d/dh Psi(x, x + h sigma)| <= |grad u(y)| + (|A(0)| + Lip_A
+    # (|x| + h)) |u(y)|, and c_p turns that Euclidean bound into one for the
+    # mixed modulus |.|_p; times the cell width it bounds |f_a - f| + |f - f_b|
+    c_width = max(1.0, 2.0 ** (1.0 / p - 0.5)) * (h_hi - h_lo)
+    a0 = float(np.linalg.norm(a.evaluate(np.zeros((1, dim))))) if use_phase else 0.0
+    lip_a = a.lipschitz_constant if use_phase else 0.0
+
+    def open_cells(x, sig, gpow):
+        """(point, direction, cell) of every coarse cell whose Lipschitz
+        certificate does not decide the threshold state, in C order."""
+        f = gpow ** (1.0 / p)
+        # distance from 0 to the segment x + h sigma, h in [h_lo, h_hi]
+        # (sigma is a unit vector)
+        xs = np.einsum("ck,mk->cm", x, sig)[:, :, None]
+        x2 = np.einsum("ck,ck->c", x, x)[:, None, None]
+        along = np.minimum(np.maximum(h_lo + xs, 0.0), h_hi + xs)
+        r = np.sqrt(np.maximum(x2 - xs * xs, 0.0) + along * along)
+        mag, grad = u.envelope(r)
+        if use_phase:
+            grad = grad + (a0 + lip_a * (np.sqrt(x2) + h_hi)) * mag
+        # the cell fires everywhere when (f_a + f_b)/2 - L w/2 > delta, and
+        # nowhere when (f_a + f_b)/2 + L w/2 < delta; the 1e-9 margin covers
+        # the rounding of f and of gpow > delta^p at the inner nodes, and a
+        # NaN leaves the cell open
+        decided = np.abs(f[:, :, :-1] + f[:, :, 1:] - 2.0 * delta) > c_width * grad + 2e-9 * delta
+        return np.nonzero(~decided & has_inner)
+
+    def inner_fires(x, ux, sig, ci, mi, ji):
+        """Threshold states on the inner scan nodes of the given cells,
+        (stride - 1, cells).  The points are stored plane by plane with the
+        long axis last, like those of _ray_points, and each is the same sum
+        x + (h sigma), so every value is the one the full scan computes."""
+        h = h_inner.take(ji, axis=1)
+        dirs = sig.T.take(mi, axis=1)[:, None]
+        base = x.T.take(ci, axis=1)[:, None]
+
+        def points(step):
+            out = np.multiply(dirs, step)
+            return np.add(base, out, out=out).transpose(1, 2, 0)
+
+        mid = points(0.5 * h) if use_phase else None
+        return _kernel_diff_pow(u, a, ux.take(ci), points(h), mid, h, dirs[:, 0], "hbk,kb->hb",
+                                p) > delta_pow
 
     def crossings(x, ux, dirs):
         """(point, direction, scan cell, rising) of every threshold crossing
-        in one grid block; directions count from the start of the slice."""
+        in one grid block, in (point, direction, cell) order; directions
+        count from the start of the slice."""
         half = half_steps[:, dirs] if use_phase else None
-        gpow, _ = _psi_diff_pow(u, a, x, ux, scan, rule.nodes[dirs], steps[:, dirs], half, p)
-        fires = gpow > delta_pow  # (c, m, k)
+        sig = rule.nodes[dirs]
+        gpow, _ = _psi_diff_pow(u, a, x, ux, h_coarse, sig, steps[:, dirs], half, p)
         # prepend h = 0 (never fires); the last scan node sits at h_max where
         # the difference equals |u(x)|_p, so the state there persists to infinity
+        fires = gpow > delta_pow
         state = np.concatenate([np.zeros(fires.shape[:2] + (1,), dtype=bool), fires], axis=2)
-        flips = state[:, :, 1:] != state[:, :, :-1]
+        flips = state[:, :, 1:] != state[:, :, :-1]  # into coarse node j, from the one before
+        if stride > 1:
+            # a certified cell keeps one state throughout; an open one is
+            # scanned node by node, and its flips replace the coarse one
+            oc, om, oj = open_cells(x, sig, gpow)
+            states = np.empty((stride + 1, len(oc)), dtype=bool)
+            states[0], states[-1] = state[oc, om, oj + 1], state[oc, om, oj + 2]
+            cells_per_block = _BLOCK_ELEMENTS // (stride - 1)
+            for start in range(0, len(oc), cells_per_block):
+                b = slice(start, start + cells_per_block)
+                states[1:-1, b] = inner_fires(x, ux, sig, oc[b], om[b], oj[b])
+            flips[oc, om, oj + 1] = False
+            step, cell = np.nonzero(states[1:] != states[:-1])
         # flips are sparse: the flat search is much faster than a 3-D nonzero
-        ci, mi, ki = np.unravel_index(np.flatnonzero(flips), flips.shape)
-        return ci, mi, ki, ~state[ci, mi, ki]  # rising: crossing from below
+        ci, mi, ji = np.unravel_index(np.flatnonzero(flips), flips.shape)
+        ki, rising = coarse[ji], ~state[ci, mi, ji]  # rising: crossing from below
+        if stride > 1 and len(cell):
+            ci = np.concatenate([ci, oc[cell]])
+            mi = np.concatenate([mi, om[cell]])
+            ki = np.concatenate([ki, step_to[step, oj[cell]]])
+            rising = np.concatenate([rising, ~states[step, cell]])
+            order = np.argsort((ci * len(sig) + mi) * len(scan) + ki)
+            ci, mi, ki, rising = ci[order], mi[order], ki[order], rising[order]
+        return ci, mi, ki, rising
 
     def bisect(x_rays, ux_rays, s_rays, lo, hi, rising):
         """Crossing radius on each ray, from its bracketing scan cell [lo, hi]."""
         for _ in range(budget.bisection_iters):
             mid = 0.5 * (lo + hi)
             y = x_rays + mid[:, None] * s_rays
-            uy = u.evaluate(y)
-            if use_phase:
-                amid = a.evaluate(x_rays + (0.5 * mid)[:, None] * s_rays)
-                uy = np.exp(-1j * mid * np.einsum("bk,bk->b", amid, s_rays)) * uy
-            above = scalar_mixed_modulus_pow(uy - ux_rays, p) > delta_pow
+            half = x_rays + (0.5 * mid)[:, None] * s_rays if use_phase else None
+            above = _kernel_diff_pow(u, a, ux_rays, y, half, mid, s_rays, "bk,bk->b", p) > delta_pow
             # mid already past the flip: tighten the upper end, else the lower
             on_far_side = above == rising
             np.copyto(hi, mid, where=on_far_side)
@@ -565,7 +659,7 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
     def values_fn(x_batch):
         ux = u.evaluate(x_batch)
         parts = []
-        for pts, dirs in _grid_blocks(len(x_batch), m_count, len(scan)):
+        for pts, dirs in _grid_blocks(len(x_batch), m_count, len(coarse)):
             ci, mi, ki, rising = crossings(x_batch[pts], ux[pts], dirs)
             parts.append((ci + pts.start, mi + dirs.start, ki, rising))
         ci, mi, ki, rising = (np.concatenate(col) for col in zip(*parts))

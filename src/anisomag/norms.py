@@ -107,34 +107,15 @@ def _surface_pow_p(v, nodes, weights, moment, p: float) -> np.ndarray:
     return val
 
 
-def _kpn_adapted(p: float, dim: int, omega: np.ndarray) -> float:
-    """Sphere quadrature of |omega . sigma|^p with nodes adapted to omega.
-
-    The integrand has a kink on the great circle {omega . sigma = 0}; aligning
-    panel boundaries with that circle restores spectral accuracy for any
-    direction.
-    """
-    omega = omega / np.linalg.norm(omega)
-    if dim == 1:
-        return 2.0  # counting measure on {-1, +1}
-    if dim == 2:
-        phi = math.atan2(omega[1], omega[0])
-        rule = circle_panels([phi + math.pi / 2.0, phi + 3.0 * math.pi / 2.0], 64,
-                             with_coarse=False)
-    else:
-        rule = slice_rule(dim, omega, 64, with_coarse=False)
-    proj = np.abs(np.einsum("mk,k->m", rule.nodes, omega)) ** p
-    return float(np.einsum("m,m->", proj, rule.weights))
-
-
 def kpn_constant(p: float, dim: int, rule: SphereRule | None = None,
                  omega=None) -> float:
     """(1/p) * integral_{S^{N-1}} |w . x|^p dsigma for a fixed unit w.
 
-    The value is direction independent; by default the implementation
-    integrates against e_1 with a kink-adapted rule and cross-checks a second
-    direction to 1e-10 relative.  Passing ``rule`` evaluates on that rule
-    instead (accuracy then limited by the rule).
+    The value is direction independent and has the closed form
+    (1/p) 2 pi^((N-1)/2) Gamma((p+1)/2) / Gamma((N+p)/2) (2/p at N = 1, where
+    the sphere is {-1, +1} with counting measure).  Passing ``rule`` evaluates
+    the integral on that rule instead, against e_1 or the given ``omega``
+    (accuracy then limited by the rule).
     """
     if p < 1.0:
         raise ValueError("p must satisfy p >= 1")
@@ -146,17 +127,8 @@ def kpn_constant(p: float, dim: int, rule: SphereRule | None = None,
             w /= np.linalg.norm(w)
         proj = np.abs(np.einsum("mk,k->m", rule.nodes, w)) ** p
         return float(np.einsum("m,m->", proj, rule.weights)) / p
-    if omega is not None:
-        return _kpn_adapted(p, dim, np.asarray(omega, dtype=float)) / p
-    e1 = np.zeros(dim)
-    e1[0] = 1.0
-    val1 = _kpn_adapted(p, dim, e1) / p
-    val2 = _kpn_adapted(p, dim, np.ones(dim)) / p
-    if abs(val1 - val2) > 1e-10 * max(abs(val1), 1.0):
-        raise RuntimeError(
-            f"direction dependence detected: {val1!r} vs {val2!r} for p={p}, N={dim}"
-        )
-    return val1
+    sphere_moment = 2.0 * math.pi ** ((dim - 1) / 2.0) * math.gamma((p + 1) / 2.0)
+    return sphere_moment / math.gamma((dim + p) / 2.0) / p
 
 
 def adapted_moment_rule(body: ConvexBody, v: np.ndarray, order: int = 32) -> SphereRule:

@@ -277,7 +277,7 @@ class TestRayInterval:
         np.testing.assert_allclose([t_lo[0], t_hi[0]], [-0.5, 0.9], rtol=1e-15)
         assert t_hi[1] == -np.inf and t_hi[2] == -np.inf
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(
         name=st.sampled_from(["square", "hexagon", "box3"]),
         coords=st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),

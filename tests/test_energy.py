@@ -80,7 +80,7 @@ class TestLocalEnergyScaling:
         return val
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
-    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=8)
     @given(name=st.sampled_from(sorted(_SCALED_BODIES)), lam=st.floats(0.5, 2.0))
     def test_scaling_identity(self, p, name, lam):
         assert self._energy(name, p, lam) == pytest.approx(

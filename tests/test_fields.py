@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anisomag as am
 
@@ -52,6 +54,49 @@ class TestPsi:
         phase = np.abs(np.einsum("nk,nk->n", x - y, a(0.5 * (x + y))))
         rhs = np.abs(u(y) - u(x)) + np.abs(u(x)) * phase
         assert np.all(lhs <= rhs + 1e-12)
+
+
+_ENVELOPED = {
+    "gaussian": lambda: am.gaussian(2),
+    "gaussian_3d_scaled": lambda: am.gaussian(3, -2.5),
+    "wave_slow": lambda: am.modulated_gaussian(2, [0.6, 0.3]),  # |k| < 1
+    "wave_fast": lambda: am.modulated_gaussian(2, [1.5, -0.8]),  # |k| > 1
+    "wave_3d": lambda: am.modulated_gaussian(3, [0.2, 0.0, 0.9]),
+    "bump": lambda: am.bump(2),
+    "bump_3d": lambda: am.bump(3),
+    "zero": lambda: am.zero_field(2),
+}
+
+
+class TestEnvelope:
+    @settings(max_examples=400)
+    @given(name=st.sampled_from(sorted(_ENVELOPED)),
+           coords=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+           shrink=st.floats(0.0, 1.0))
+    def test_bounds_field_and_gradient(self, name, coords, shrink):
+        # M(r) >= |u(y)| and E(r) >= |grad u(y)| for every r <= |y|, and
+        # both are nonincreasing in r
+        u = _ENVELOPED[name]()
+        y = np.asarray(coords[: u.dim])
+        norm_y = float(np.linalg.norm(y))
+        mag, grad = u.envelope(np.array([shrink * norm_y, norm_y]))
+        assert mag[0] >= mag[1] and grad[0] >= grad[1]
+        assert abs(u(y)) <= mag[1] * (1.0 + 1e-12)
+        assert np.linalg.norm(u.grad(y)) <= grad[1] * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("name", sorted(_ENVELOPED))
+    def test_gradient_bound_is_attained(self, name):
+        # the bounds are the radial profiles' running maxima, so along one
+        # direction they are attained at every radius
+        u = _ENVELOPED[name]()
+        radii = np.linspace(0.0, 3.0, 301)
+        axis = np.zeros(u.dim)
+        axis[0] = 1.0
+        ys = radii[:, None] * axis
+        mag, grad = u.envelope(radii)
+        np.testing.assert_allclose(mag, np.abs(u(ys)), rtol=1e-12, atol=1e-300)
+        sup = np.maximum.accumulate(np.linalg.norm(u.grad(ys), axis=-1)[::-1])[::-1]
+        np.testing.assert_allclose(grad, sup, rtol=1e-2, atol=1e-300)
 
 
 class TestMagneticGradient:

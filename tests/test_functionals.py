@@ -3,6 +3,7 @@ spherical change of variables, and the lower-bound/monotonicity properties."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -276,6 +279,135 @@ class TestNguyenProperties:
         val, _ = am.nguyen(u, spec, am.IntegrationBudget(outer="tensor", resolution=64,
                                                          sphere_nodes=48))
         assert val >= 0.95 * tv
+
+
+def _nguyen_case(name):
+    ball, square = am.EuclideanBall(2), am.cube(2)
+    rot, zero = am.rotational_potential(1.0), am.zero_potential(2)
+    lin = am.linear_potential([[0.2, -0.7], [0.4, 0.1]])
+    wave = am.modulated_gaussian(2, [1.0, 0.5])
+
+    def spec(delta, p, body, a):
+        return am.FunctionalSpec(am.Nguyen(delta), p, body, a)
+
+    def mc(samples):
+        return am.IntegrationBudget(outer="montecarlo", samples=samples, sphere_nodes=48)
+
+    def tensor(resolution):
+        return am.IntegrationBudget(outer="tensor", resolution=resolution, sphere_nodes=48)
+
+    return {
+        "ball_p2_rotational_mc": (wave, spec(0.05, 2.0, ball, rot), mc(64)),
+        "square_p1_zero_tensor": (am.gaussian(2), spec(0.02, 1.0, square, zero), tensor(16)),
+        "ball_p15_linear_tensor": (wave, spec(0.05, 1.5, ball, lin), tensor(12)),
+        "square_p2_rotational_mc": (am.bump(2), spec(0.1, 2.0, square, rot), mc(48)),
+        "ball_p1_rotational_mc": (am.modulated_gaussian(2, [0.5, 0.0]), spec(0.02, 1.0, ball, rot),
+                                  mc(48)),
+        "gaussian_1d": (am.gaussian(1), spec(0.05, 2.0, am.EuclideanBall(1), am.zero_potential(1)),
+                        am.IntegrationBudget(outer="tensor", resolution=64, margin=6.0)),
+    }[name]
+
+
+def _counting(u):
+    """u with an evaluate that records the shape of every batch it is given."""
+    shapes = []
+
+    def evaluate(x):
+        shapes.append(x.shape)
+        return u.evaluate(x)
+
+    return dataclasses.replace(u, evaluate=evaluate), shapes
+
+
+class TestNguyenFrozenValues:
+    """(value, error) of the threshold functional, recorded as repr strings
+    from the node-by-node scan.  The certified scan must reproduce every bit,
+    and so must the same field without its envelope, which is scanned node by
+    node."""
+
+    @pytest.mark.parametrize("name, expected", [
+        ("ball_p2_rotational_mc", "(13.087878573764385, 1.2836235332135282)"),
+        ("square_p1_zero_tensor", "(43.110579301355685, 29.112036707767622)"),
+        ("ball_p15_linear_tensor", "(20.828861181599883, 21.658829401567125)"),
+        ("square_p2_rotational_mc", "(17.886499964938423, 3.5479940119287776)"),
+        ("ball_p1_rotational_mc", "(50.91847469975335, 5.39934869301209)"),
+        ("gaussian_1d", "(0.8936474989944669, 0.015550785256960742)"),
+    ])
+    def test_values(self, name, expected):
+        u, spec, budget = _nguyen_case(name)
+        assert u.envelope is not None
+        assert repr(am.nguyen(u, spec, budget, seed=1)) == expected
+        plain = dataclasses.replace(u, envelope=None)
+        assert repr(am.nguyen(plain, spec, budget, seed=1)) == expected
+
+
+class TestCertifiedScan:
+    def test_zero_field_certifies_every_cell(self):
+        u, shapes = _counting(am.zero_field(2))
+        spec = am.FunctionalSpec(am.Nguyen(0.1), 2.0, am.EuclideanBall(2),
+                                 am.rotational_potential(1.0))
+        budget = am.IntegrationBudget(outer="tensor", resolution=16, sphere_nodes=16)
+        assert am.nguyen(u, spec, budget) == (0.0, 0.0)
+        # (c, m, coarse nodes, N) scan blocks only: no cell was opened
+        assert any(len(s) == 4 for s in shapes)
+        assert all(len(s) != 3 for s in shapes)
+
+    def test_skips_most_scan_nodes(self):
+        u, spec, budget = _nguyen_case("ball_p2_rotational_mc")
+        counts = []
+        for field in (u, dataclasses.replace(u, envelope=None)):
+            counted, shapes = _counting(field)
+            am.nguyen(counted, spec, budget, seed=1)
+            counts.append(sum(math.prod(s[:-1]) for s in shapes if len(s) >= 3))
+        assert counts[0] <= 0.25 * counts[1]
+
+
+class TestNguyenIdentities:
+    @settings(max_examples=6)
+    @given(name=st.sampled_from(["ball", "square"]), p=st.sampled_from([1.0, 1.5, 2.0]),
+           lam=st.floats(0.5, 2.0))
+    def test_scaling_identity(self, name, p, lam):
+        # gauge_{lam K} = gauge_K / lam and the kernel is 1/gauge^(N+p), so
+        # nguyen(lam K) = lam^(N+p) nguyen(K) for the same scan
+        make = {"ball": lambda s: am.EuclideanBall(2, s),
+                "square": lambda s: am.SymmetricPolytope(
+                    [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [s] * 4)}[name]
+        u = am.modulated_gaussian(2, [1.0, 0.5])
+        a = am.rotational_potential(0.8)
+        budget = am.IntegrationBudget(outer="tensor", resolution=12, sphere_nodes=32)
+
+        def value(scale):
+            return am.nguyen(u, am.FunctionalSpec(am.Nguyen(0.05), p, make(scale), a), budget)[0]
+
+        assert value(lam) == pytest.approx(lam ** (2 + p) * value(1.0), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=6)
+    @given(q=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), magnetic=st.booleans(),
+           outer=st.sampled_from(["tensor", "montecarlo"]))
+    def test_gauge_covariance(self, q, magnetic, outer):
+        # u -> exp(i phi) u, A -> A + grad phi with phi(x) = x.Qx / 2: the
+        # midpoint phase turns (y - x).Q(x + y)/2 into phi(y) - phi(x)
+        # exactly, so at p = 2, where |.|_p is the complex modulus, every
+        # kernel difference keeps its modulus.  The gauged field has no
+        # envelope, so this also checks the node-by-node scan against the
+        # certified one.
+        sym = np.array([[q[0], q[1]], [q[1], q[2]]])
+        rot = np.array([[0.0, -0.5], [0.5, 0.0]]) if magnetic else np.zeros((2, 2))
+        u = am.gaussian(2)
+
+        def gauged(x):
+            return np.exp(0.5j * np.einsum("...k,kl,...l->...", x, sym, x)) * u.evaluate(x)
+
+        v = am.ComplexField(2, gauged, None, u.support_radius, True, "gauged gaussian")
+        # a fixed scan step: the default one depends on max |A|
+        budget = am.IntegrationBudget(outer=outer, resolution=16, samples=64, sphere_nodes=32,
+                                      scan_max_step=0.25)
+        ball = am.EuclideanBall(2)
+        a = am.linear_potential(rot) if magnetic else am.zero_potential(2)
+        base = am.nguyen(u, am.FunctionalSpec(am.Nguyen(0.05), 2.0, ball, a), budget)[0]
+        moved = am.nguyen(v, am.FunctionalSpec(am.Nguyen(0.05), 2.0, ball,
+                                               am.linear_potential(rot + sym)), budget)[0]
+        assert moved == pytest.approx(base, rel=1e-12, abs=0.0)
 
 
 class TestBodyMonotonicity:

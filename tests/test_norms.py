@@ -67,7 +67,7 @@ class TestKpnConstant:
     def test_k11_counting_measure(self):
         assert am.kpn_constant(1.0, 1) == pytest.approx(2.0, abs=1e-15)
 
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_gamma_closed_form(self, p, dim):
         assert am.kpn_constant(p, dim) == pytest.approx(kpn_closed_form(p, dim), rel=1e-12)
