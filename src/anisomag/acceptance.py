@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import ConvexBody, Ellipsoid, EuclideanBall, cube, regular_hexagon, unit_square
+from .bodies import Ellipsoid, EuclideanBall, cube, regular_hexagon, unit_square
 from .energy import GridSpec, anisotropic_perimeter, total_variation_smooth, variational_pairing
 from .fields import (
     bump_test_field,
@@ -61,6 +61,15 @@ class CriterionResult:
 
 def _fmt(x) -> str:
     return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+
+
+def _study_rows(rows: list, name: str, rep) -> None:
+    """Append a study's points, its extrapolated limit and its target to ``rows``."""
+    for pt in rep.points:
+        rows.append((name, _fmt(pt.parameter), _fmt(pt.value), _fmt(pt.error)))
+    rows.append((name, "extrapolated", _fmt(rep.extrapolation.limit),
+                 _fmt(rep.extrapolation.limit_stderr)))
+    rows.append((name, "target", _fmt(rep.target), _fmt(rep.target_error)))
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +162,7 @@ def criterion_ludwig_bbm_limit(seed: int = 0, threads: int = 1) -> CriterionResu
         rep = run_study(u, a, make(), 2.0, "gagliardo", schedule, budget,
                         seed=derive_seed(seed, "c3", name), tolerance=0.01, threads=threads)
         reports[f"ludwig_bbm_limit_{name}"] = rep
-        for pt in rep.points:
-            rows.append((name, _fmt(pt.parameter), _fmt(pt.value), _fmt(pt.error)))
-        rows.append((name, "extrapolated", _fmt(rep.extrapolation.limit), _fmt(rep.extrapolation.limit_stderr)))
-        rows.append((name, "target", _fmt(rep.target), _fmt(rep.target_error)))
+        _study_rows(rows, name, rep)
         if not rep.passed:
             failures.append(name)
     # independent gaussian-moment oracle for the ball target: K_{2,2} * int |grad u|^2
@@ -186,10 +192,7 @@ def criterion_nguyen_magnetic(seed: int = 0, threads: int = 1) -> CriterionResul
         rep = run_study(u, a, make(), 2.0, "nguyen", None, budget,
                         seed=derive_seed(seed, "c4", name), tolerance=0.02, threads=threads)
         reports[f"nguyen_magnetic_{name}"] = rep
-        for pt in rep.points:
-            rows.append((name, _fmt(pt.parameter), _fmt(pt.value), _fmt(pt.error)))
-        rows.append((name, "extrapolated", _fmt(rep.extrapolation.limit), _fmt(rep.extrapolation.limit_stderr)))
-        rows.append((name, "target", _fmt(rep.target), _fmt(rep.target_error)))
+        _study_rows(rows, name, rep)
         if not rep.passed:
             failures.append(name)
     return CriterionResult("nguyen_magnetic", not failures,
@@ -212,10 +215,7 @@ def criterion_bbm_magnetic(seed: int = 0, threads: int = 1) -> CriterionResult:
                         seed=derive_seed(seed, "c5", name), tolerance=0.02,
                         mollifier_family=fam, threads=threads)
         reports[f"bbm_magnetic_{name}"] = rep
-        for pt in rep.points:
-            rows.append((name, _fmt(pt.parameter), _fmt(pt.value), _fmt(pt.error)))
-        rows.append((name, "extrapolated", _fmt(rep.extrapolation.limit), _fmt(rep.extrapolation.limit_stderr)))
-        rows.append((name, "target", _fmt(rep.target), _fmt(rep.target_error)))
+        _study_rows(rows, name, rep)
         if not rep.passed:
             failures.append(name)
     # algebraic identity between code paths (zero potential)
@@ -252,10 +252,7 @@ def criterion_bv_indicator(seed: int = 0, threads: int = 1) -> CriterionResult:
                         seed=derive_seed(seed, "c6", name), tolerance=0.03,
                         mollifier_family=fam, threads=threads)
         reports[f"bv_indicator_{name}"] = rep
-        for pt in rep.points:
-            rows.append((name, _fmt(pt.parameter), _fmt(pt.value), _fmt(pt.error)))
-        rows.append((name, "extrapolated", _fmt(rep.extrapolation.limit), _fmt(rep.extrapolation.limit_stderr)))
-        rows.append((name, "target", _fmt(rep.target), _fmt(rep.target_error)))
+        _study_rows(rows, name, rep)
         if not rep.passed or abs(rep.target - target) > 1e-9:
             failures.append(name)
     return CriterionResult("bv_indicator", not failures,

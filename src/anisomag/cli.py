@@ -28,7 +28,7 @@ from .bodies import (
     cube,
     regular_hexagon,
 )
-from .energy import GridSpec, anisotropic_perimeter
+from .energy import anisotropic_perimeter
 from .fields import (
     ComplexField,
     MagneticPotential,
@@ -141,9 +141,7 @@ def parse_potential(obj: dict) -> MagneticPotential:
 
 
 def parse_budget(obj: dict) -> IntegrationBudget:
-    allowed = {"outer", "resolution", "samples", "sphere_nodes", "radial_order",
-               "radial_panel_ratio", "radial_first_break", "scan_ratio",
-               "scan_min_factor", "scan_max_step", "margin", "bisection_iters", "chunk"}
+    allowed = {"outer", "resolution", "samples", "sphere_nodes", "scan_max_step", "margin"}
     _require_keys(obj, allowed, set(), "budget")
     try:
         return IntegrationBudget(**obj)

@@ -21,14 +21,18 @@ the direction sigma, and a radial integral in h along the ray y = x + h*sigma
   support; for polytope indicators the ray/region intersection makes the
   radial pieces explicit.
 
-Tensor-grid evaluations report |value(res) - value(res/2)|; Monte Carlo
-evaluations report the sample standard error.  Neither estimate is optional.
+Two drivers run the outer x-integral, both through one chunk loop: for
+smooth fields _outer_integrate (a trapezoid grid, or defensive importance
+sampling, on a ball), for indicators _midpoint_integrate (cell-centered grids
+at two resolutions).  Grid evaluations report |value(res) - value(res/2)|;
+Monte Carlo evaluations report the sample standard error.  Neither estimate
+is optional.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,7 +42,7 @@ from .fields import ComplexField, MagneticPotential
 from .grids import midpoint_grid, trapezoid_grid
 from .norms import scalar_mixed_modulus_pow
 from .seeding import derive_seed
-from .spheres import SphereRule, sphere_rule
+from .spheres import sphere_rule
 
 # ---------------------------------------------------------------------------
 # mollifier families
@@ -151,7 +155,9 @@ class FunctionalSpec:
             raise TypeError("unknown functional kind")
 
 
-def _validate_field(u: ComplexField, spec: FunctionalSpec) -> None:
+def _validate(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget, kind) -> None:
+    if not isinstance(spec.kind, kind):
+        raise TypeError(f"spec.kind must be {kind.__name__}")
     if u.dim != spec.body.dim:
         raise ValueError("field dimension does not match the body")
     if u.smooth:
@@ -163,6 +169,9 @@ def _validate_field(u: ComplexField, spec: FunctionalSpec) -> None:
         raise ValueError("indicator fields are restricted to p = 1")
     if u.region is None:
         raise ValueError("non-smooth fields must carry a polytope region")
+    if budget.outer != "tensor":
+        raise ValueError("indicator fields are integrated on midpoint grids and need "
+                         "the 'tensor' outer scheme")
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +183,11 @@ class IntegrationBudget:
     """Quadrature configuration for one functional evaluation.
 
     ``outer`` selects the x-scheme: "tensor" (trapezoid / cell-centered grid,
-    error = two-resolution difference) or "montecarlo" (uniform ball samples,
-    error = standard error).  Radial and scan knobs follow the graded-grid
-    design; ``margin`` widens the x-domain beyond the field support where the
-    integrand is not symmetric in x and y.
+    error = two-resolution difference) or "montecarlo" (importance samples on
+    the ball, error = standard error; smooth fields only).
+    ``scan_max_step`` caps the threshold scan's step (by default it follows
+    max |A|); ``margin`` widens the x-domain beyond the field support where
+    the integrand is not symmetric in x and y.
     """
 
     outer: str = "tensor"
@@ -185,15 +195,8 @@ class IntegrationBudget:
     samples: int = 4096
     seed: int = 0
     sphere_nodes: int = 96
-    radial_order: int = 12
-    radial_panel_ratio: float = 1.8
-    radial_first_break: float = 1e-3
-    scan_ratio: float = 1.05
-    scan_min_factor: float = 1e-6
     scan_max_step: float | None = None
     margin: float = 3.0
-    bisection_iters: int = 48
-    chunk: int = 32
 
     def __post_init__(self):
         if self.outer not in ("tensor", "montecarlo"):
@@ -215,21 +218,25 @@ class IntegrationBudget:
 # results are assembled before any sum over sigma, so the block shape changes
 # no value.
 _BLOCK_ELEMENTS = 12288
-# the threshold functional finds the crossings of budget.chunk *
-# _RAY_BATCH_CHUNKS points before bisecting them, _BLOCK_ELEMENTS rays at a
-# time, so its bisection blocks are full; this changes no value either
+# points per call of a smooth integrand's values_fn
+_CHUNK = 32
+# the threshold functional finds the crossings of _CHUNK * _RAY_BATCH_CHUNKS
+# points before bisecting them, _BLOCK_ELEMENTS rays at a time, so its
+# bisection blocks are full; this changes no value either
 _RAY_BATCH_CHUNKS = 8
 # the threshold scan evaluates every _SCAN_STRIDE-th scan node first, and the
 # nodes in between only in the cells its Lipschitz certificate leaves open
 _SCAN_STRIDE = 8
-
-
-def _ball_samples(dim: int, radius: float, count: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((count, dim))
-    g /= np.sqrt(np.einsum("nk,nk->n", g, g))[:, None]
-    radii = radius * rng.random(count) ** (1.0 / dim)
-    return g * radii[:, None]
+# the threshold scan grows geometrically from _SCAN_MIN_FACTOR * h_max, and
+# each crossing is bisected _BISECTION_ITERS times
+_SCAN_RATIO = 1.05
+_SCAN_MIN_FACTOR = 1e-6
+_BISECTION_ITERS = 48
+# Gauss-Legendre order of the radial panels; the fractional seminorm's panels
+# start at _RADIAL_FIRST_BREAK * h_max and grow by _RADIAL_PANEL_RATIO
+_RADIAL_ORDER = 12
+_RADIAL_PANEL_RATIO = 1.8
+_RADIAL_FIRST_BREAK = 1e-3
 
 
 def _mixture_samples(dim: int, radius: float, tau: float, count: int, seed: int):
@@ -284,18 +291,26 @@ def _ray_points(x, planes):
     return out.transpose(1, 2, 3, 0)
 
 
+def _phase(a, mid, h, sigma, subscripts):
+    """exp(-i h sigma.A(mid)), the magnetic phase of the step from x to
+    x + h sigma at its midpoints ``mid``; ``subscripts`` contracts A(mid)
+    with ``sigma`` to the shape of ``h``."""
+    rot = np.multiply(-1j * h, np.einsum(subscripts, a.evaluate(mid), sigma))
+    return np.exp(rot, out=rot)
+
+
 def _kernel_diff_pow(u, a, ux, y, mid, h, sigma, subscripts, p):
     """|exp(-i h sigma.A(mid)) u(y) - u(x)|_p^p at the points y = x + h sigma.
 
     ``mid`` holds the midpoints x + (h/2) sigma, or is None to skip the
-    magnetic phase; ``subscripts`` contracts A(mid) with ``sigma`` to the
-    shape of ``h``, and ``ux`` broadcasts against it.
+    magnetic phase; ``subscripts`` is as for _phase, and ``ux`` broadcasts
+    against ``h``.
     """
     uy = u.evaluate(y)
     if mid is None:
         return scalar_mixed_modulus_pow(uy - ux, p)
-    rot = np.multiply(-1j * h, np.einsum(subscripts, a.evaluate(mid), sigma))
-    uy = np.multiply(np.exp(rot, out=rot), uy, out=rot)
+    rot = _phase(a, mid, h, sigma, subscripts)
+    uy = np.multiply(rot, uy, out=rot)
     return scalar_mixed_modulus_pow(np.subtract(uy, ux, out=uy), p)
 
 
@@ -328,24 +343,29 @@ def _grid_blocks(count, m, k, split_directions=True):
             for i in range(count) for j in range(0, m, step)]
 
 
-def _outer_integrate(values_fn, dim, radius, budget, seed_label, mask_radius=None,
-                     importance_tau=None):
-    """Run the outer x-integral with either scheme.
+def _chunk_values(values_fn, points, live, chunk):
+    """values_fn(points) -> per-point inner values, called ``chunk`` points at
+    a time on the points the mask ``live`` selects (all if it is None); the
+    other points get 0."""
+    vals = np.zeros(len(points))
+    idx = np.arange(len(points)) if live is None else np.nonzero(live)[0]
+    for start in range(0, len(idx), chunk):
+        sel = idx[start : start + chunk]
+        vals[sel] = values_fn(points[sel])
+    return vals
 
-    ``values_fn(points) -> per-point inner values``; ``mask_radius`` zeroes
-    tensor nodes outside the ball where the decomposition is valid; a finite
-    ``importance_tau`` turns on the defensive gaussian proposal.
+
+def _outer_integrate(values_fn, u, radius, budget, label, seed, chunk=_CHUNK):
+    """Outer x-integral of a smooth field's integrand over the ball of ``radius``.
+
+    "tensor" skips the trapezoid nodes outside the ball, where the spherical
+    decomposition does not hold; "montecarlo" draws the defensive gaussian
+    mixture of width _importance_tau(u) from the stream ``label``/``seed``.
     """
     if budget.outer == "montecarlo":
-        if importance_tau is not None:
-            pts, rho = _mixture_samples(dim, radius, importance_tau, budget.samples, seed_label)
-        else:
-            pts = _ball_samples(dim, radius, budget.samples, seed_label)
-            rho = np.full(len(pts), 1.0 / (unit_ball_volume(dim) * radius**dim))
-        vals = np.empty(budget.samples)
-        for start in range(0, len(pts), budget.chunk):
-            vals[start : start + budget.chunk] = values_fn(pts[start : start + budget.chunk])
-        weighted = vals / rho
+        pts, rho = _mixture_samples(u.dim, radius, _importance_tau(u), budget.samples,
+                                    derive_seed(budget.seed, label, seed))
+        weighted = _chunk_values(values_fn, pts, None, chunk) / rho
         mean = float(np.einsum("n->", weighted)) / len(weighted)
         sem = (
             float(np.std(weighted, ddof=1)) / math.sqrt(len(weighted))
@@ -353,22 +373,32 @@ def _outer_integrate(values_fn, dim, radius, budget, seed_label, mask_radius=Non
             else 0.0
         )
         return mean, sem
-    tg = trapezoid_grid(dim, radius, budget.resolution)
-    vals = np.zeros(len(tg.points))
-    r2 = np.einsum("nk,nk->n", tg.points, tg.points)
-    live = r2 <= (mask_radius if mask_radius is not None else radius) ** 2
-    idx = np.nonzero(live)[0]
-    for start in range(0, len(idx), budget.chunk):
-        sel = idx[start : start + budget.chunk]
-        vals[sel] = values_fn(tg.points[sel])
-    return tg.integrate(vals)
+    tg = trapezoid_grid(u.dim, radius, budget.resolution)
+    live = np.einsum("nk,nk->n", tg.points, tg.points) <= radius**2
+    return tg.integrate(_chunk_values(values_fn, tg.points, live, chunk))
+
+
+def _midpoint_integrate(values_fn, dim, radius, resolution, live, chunk):
+    """Outer x-integral of an indicator path's integrand on cell-centered
+    grids over [-radius, radius]^dim: the value at ``resolution`` and its
+    distance to the value at half of it (at least 8).  ``live(points)``
+    masks the nodes where the integrand can be nonzero; None keeps all."""
+
+    def value_at(res):
+        tg = midpoint_grid(dim, radius, res)
+        vals = _chunk_values(values_fn, tg.points, None if live is None else live(tg.points),
+                             chunk)
+        return float(np.einsum("n,n->", tg.weights, vals))
+
+    fine = value_at(resolution)
+    return fine, abs(fine - value_at(max(resolution // 2, 8)))
 
 
 # ---------------------------------------------------------------------------
 # fractional (Gagliardo-type) seminorm
 
 
-def _gagliardo_radial(p: float, s: float, h_max: float, budget: IntegrationBudget):
+def _gagliardo_radial(p: float, s: float, h_max: float):
     """Nodes/weights for integral_0^H q(h)^p h^(p(1-s)-1) dh via t = h^(p(1-s)).
 
     Nodes in the first panel can map to h far below float resolution of the
@@ -376,10 +406,10 @@ def _gagliardo_radial(p: float, s: float, h_max: float, budget: IntegrationBudge
     accurate (q extends continuously to h = 0, so the clamp error is O(floor)).
     """
     alpha = p * (1.0 - s)
-    breaks = [0.0, budget.radial_first_break * h_max]
+    breaks = [0.0, _RADIAL_FIRST_BREAK * h_max]
     while breaks[-1] < h_max:
-        breaks.append(min(breaks[-1] * budget.radial_panel_ratio, h_max))
-    xg, wg = np.polynomial.legendre.leggauss(budget.radial_order)
+        breaks.append(min(breaks[-1] * _RADIAL_PANEL_RATIO, h_max))
+    xg, wg = np.polynomial.legendre.leggauss(_RADIAL_ORDER)
     h_nodes, h_weights = [], []
     t_breaks = np.asarray(breaks) ** alpha
     for t_lo, t_hi in zip(t_breaks[:-1], t_breaks[1:]):
@@ -392,7 +422,7 @@ def _gagliardo_radial(p: float, s: float, h_max: float, budget: IntegrationBudge
     return np.maximum(np.concatenate(h_nodes), floor), np.concatenate(h_weights)
 
 
-def _gagliardo_like(u, a, body, p, s, budget, use_psi, seed):
+def _gagliardo_like(u, a, body, p, s, budget, seed):
     """Raw double integral with kernel gauge^(N + p s), without the (1-s) factor."""
     dim = body.dim
     rule = sphere_rule(dim, budget.sphere_nodes, body=body)
@@ -403,12 +433,12 @@ def _gagliardo_like(u, a, body, p, s, budget, use_psi, seed):
     h_max = radius + u.support_radius
 
     if not u.smooth:
-        return _gagliardo_indicator(u, body, s, budget, rule, kernel_w)
+        return _gagliardo_indicator(u, s, budget, rule, kernel_w)
 
-    h_nodes, h_weights = _gagliardo_radial(p, s, h_max, budget)
+    h_nodes, h_weights = _gagliardo_radial(p, s, h_max)
     h_pow = h_nodes**p
     steps = _ray_steps(h_nodes, rule.nodes)
-    half_steps = _ray_steps(0.5 * h_nodes, rule.nodes) if use_psi and not a.is_zero else None
+    half_steps = None if symmetric else _ray_steps(0.5 * h_nodes, rule.nodes)
     sup2 = u.support_radius**2
     tail_factor = h_max ** (-p * s) / (p * s) * float(np.einsum("m->", kernel_w))
 
@@ -429,57 +459,37 @@ def _gagliardo_like(u, a, body, p, s, budget, use_psi, seed):
         tails = ux_pow * tail_factor * (2.0 if symmetric else 1.0)
         return vals + tails
 
-    tau = _importance_tau(u) if budget.outer == "montecarlo" else None
-    return _outer_integrate(values_fn, dim, radius, budget,
-                            derive_seed(budget.seed, "gagliardo", seed), mask_radius=radius,
-                            importance_tau=tau)
+    return _outer_integrate(values_fn, u, radius, budget, "gagliardo", seed)
 
 
-def _gagliardo_indicator(u, body, s, budget, rule, kernel_w):
+def _gagliardo_indicator(u, s, budget, rule, kernel_w):
     """p = 1 indicator path: exact radial integrals from ray/region intersections."""
     region = u.region
-    radius = u.support_radius
-    kw_sum = kernel_w  # per-sigma weights
-    res = budget.resolution
 
-    def value_at(resolution):
-        tg = midpoint_grid(region.dim, radius, resolution)
-        inside = region.contains(tg.points)
-        vals = np.zeros(len(tg.points))
-        idx = np.nonzero(inside)[0]
-        for start in range(0, len(idx), 4096):
-            sel = idx[start : start + 4096]
-            _, t_hi = region.ray_interval(tg.points[sel][:, None, :], rule.nodes[None, :, :])
-            t_hi = np.maximum(t_hi, 1e-300)
-            contrib = t_hi ** (-s) / s
-            vals[sel] = 2.0 * np.einsum("cm,m->c", contrib, kw_sum)
-        return float(np.einsum("n,n->", tg.weights, vals))
+    def values_fn(x_chunk):
+        _, t_hi = region.ray_interval(x_chunk[:, None, :], rule.nodes[None, :, :])
+        t_hi = np.maximum(t_hi, 1e-300)
+        return 2.0 * np.einsum("cm,m->c", t_hi ** (-s) / s, kernel_w)
 
-    fine = value_at(res)
-    coarse = value_at(max(res // 2, 8))
-    return fine, abs(fine - coarse)
+    return _midpoint_integrate(values_fn, region.dim, u.support_radius, budget.resolution,
+                               region.contains, 4096)
 
 
 def gagliardo(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
               seed: int = 0) -> tuple[float, float]:
     """Raw fractional seminorm (without the (1-s) normalization factor)."""
-    if not isinstance(spec.kind, Gagliardo):
-        raise TypeError("spec.kind must be Gagliardo")
-    _validate_field(u, spec)
-    if not u.smooth and spec.p != 1.0:
-        raise ValueError("indicator fields require p = 1")
-    return _gagliardo_like(u, spec.potential, spec.body, spec.p, spec.kind.s, budget,
-                           use_psi=False, seed=seed)
+    _validate(u, spec, budget, Gagliardo)
+    return _gagliardo_like(u, spec.potential, spec.body, spec.p, spec.kind.s, budget, seed)
 
 
 # ---------------------------------------------------------------------------
 # threshold (Nguyen-type) functional
 
 
-def _scan_grid(h_max: float, budget: IntegrationBudget, max_step: float) -> np.ndarray:
-    pts = [budget.scan_min_factor * h_max]
+def _scan_grid(h_max: float, max_step: float) -> np.ndarray:
+    pts = [_SCAN_MIN_FACTOR * h_max]
     while pts[-1] < h_max:
-        step = min(pts[-1] * (budget.scan_ratio - 1.0), max_step)
+        step = min(pts[-1] * (_SCAN_RATIO - 1.0), max_step)
         pts.append(min(pts[-1] + step, h_max))
     return np.asarray(pts)
 
@@ -523,9 +533,7 @@ def _importance_tau(u: ComplexField) -> float:
 def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
            seed: int = 0) -> tuple[float, float]:
     """Threshold functional I_delta with exact integration over superlevel intervals."""
-    if not isinstance(spec.kind, Nguyen):
-        raise TypeError("spec.kind must be Nguyen")
-    _validate_field(u, spec)
+    _validate(u, spec, budget, Nguyen)
     a, body, p = spec.potential, spec.body, spec.p
     delta = spec.kind.delta
     dim = body.dim
@@ -542,7 +550,7 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
     if max_step is None:
         amax = a.max_norm(radius + 1.0)
         max_step = min(0.5, math.pi / (4.0 * amax)) if amax > 1e-12 else 0.5
-    scan = _scan_grid(h_max, budget, max_step)
+    scan = _scan_grid(h_max, max_step)
     use_phase = not a.is_zero
     stride = _SCAN_STRIDE if u.envelope is not None else 1
     coarse = np.arange(0, len(scan), stride)
@@ -645,7 +653,7 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
 
     def bisect(x_rays, ux_rays, s_rays, lo, hi, rising):
         """Crossing radius on each ray, from its bracketing scan cell [lo, hi]."""
-        for _ in range(budget.bisection_iters):
+        for _ in range(_BISECTION_ITERS):
             mid = 0.5 * (lo + hi)
             y = x_rays + mid[:, None] * s_rays
             half = x_rays + (0.5 * mid)[:, None] * s_rays if use_phase else None
@@ -676,14 +684,10 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
         signed = np.where(rising, 1.0, -1.0) * crossing ** (-p)
         ray_vals = np.zeros((c, m_count))
         np.add.at(ray_vals, (ci, mi), signed)
-        vals = (delta_pow / p) * np.einsum("cm,m->c", ray_vals, kernel_w)
-        return vals
+        return (delta_pow / p) * np.einsum("cm,m->c", ray_vals, kernel_w)
 
-    tau = _importance_tau(u) if budget.outer == "montecarlo" else None
-    batches = replace(budget, chunk=budget.chunk * _RAY_BATCH_CHUNKS)
-    return _outer_integrate(values_fn, dim, radius, batches,
-                            derive_seed(budget.seed, "nguyen", seed), mask_radius=radius,
-                            importance_tau=tau)
+    return _outer_integrate(values_fn, u, radius, budget, "nguyen", seed,
+                            chunk=_CHUNK * _RAY_BATCH_CHUNKS)
 
 
 # ---------------------------------------------------------------------------
@@ -693,18 +697,13 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
 def bbm(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
         seed: int = 0) -> tuple[float, float]:
     """Mollified difference functional for either mollifier family."""
-    if not isinstance(spec.kind, Bbm):
-        raise TypeError("spec.kind must be Bbm")
-    _validate_field(u, spec)
+    _validate(u, spec, budget, Bbm)
     family, n = spec.kind.family, spec.kind.n
-    if isinstance(family, LudwigFamily):
-        if u.smooth or spec.potential.is_zero:
-            s = family.s_value(n)
-            factor = spec.p * (1.0 - s)
-            raw, err = _gagliardo_like(u, spec.potential, spec.body, spec.p, s, budget,
-                                       use_psi=True, seed=seed)
-            return factor * raw, factor * err
-        return _bbm_indicator(u, spec, budget)
+    if isinstance(family, LudwigFamily) and (u.smooth or spec.potential.is_zero):
+        s = family.s_value(n)
+        factor = spec.p * (1.0 - s)
+        raw, err = _gagliardo_like(u, spec.potential, spec.body, spec.p, s, budget, seed)
+        return factor * raw, factor * err
     if u.smooth:
         return _bbm_shrinking_smooth(u, spec, budget, seed)
     return _bbm_indicator(u, spec, budget)
@@ -718,7 +717,7 @@ def _bbm_shrinking_smooth(u, spec, budget, seed):
     g = body.gauge(rule.nodes)
     h_sup = 1.0 / (n * g)  # radial support endpoint per direction
     rho_const = float(dim) * float(n) ** dim
-    xg, wg = np.polynomial.legendre.leggauss(max(budget.radial_order, 8))
+    xg, wg = np.polynomial.legendre.leggauss(_RADIAL_ORDER)
     xi = 0.5 * (xg + 1.0)
     wxi = 0.5 * wg
     h_nodes = h_sup[:, None] * xi[None, :]  # (m, r)
@@ -742,10 +741,7 @@ def _bbm_shrinking_smooth(u, spec, budget, seed):
             vals[pts] = np.einsum("cmr,mr,m->c", qpow, w_mr, rule.weights)
         return vals
 
-    tau = _importance_tau(u) if budget.outer == "montecarlo" else None
-    return _outer_integrate(values_fn, dim, radius, budget,
-                            derive_seed(budget.seed, "bbm", seed), mask_radius=radius,
-                            importance_tau=tau)
+    return _outer_integrate(values_fn, u, radius, budget, "bbm", seed)
 
 
 def _bbm_indicator(u, spec, budget):
@@ -763,23 +759,21 @@ def _bbm_indicator(u, spec, budget):
     shrinking = isinstance(family, ShrinkingUniformFamily)
     if shrinking:
         h_cut = 1.0 / (n * g)  # rho vanishes beyond this
-        radius = u.support_radius + float(np.max(h_cut))
+        cut_max = float(np.max(h_cut))
+        radius = u.support_radius + cut_max
+
+        def live(points):
+            # contributions only from the band around the region boundary
+            slack = region.offsets[None, :] - np.einsum("nk,fk->nf", points, region.normals)
+            return np.abs(slack).min(axis=1) <= cut_max * 1.0000001
     else:
-        s = family.s_value(n)
         radius = u.support_radius + budget.margin
         h_cut = np.full(rule.size, radius + u.support_radius)
+        live = None
     use_phase = not a.is_zero
-    xg, wg = np.polynomial.legendre.leggauss(max(budget.radial_order, 8))
+    xg, wg = np.polynomial.legendre.leggauss(_RADIAL_ORDER)
     xi = 0.5 * (xg + 1.0)
     wxi = 0.5 * wg
-
-    def rho_over_g(h, gg):
-        # rho_n(h g) / g * h^(N-2) for p = 1
-        if shrinking:
-            rho = np.where(h * gg <= 1.0 / n, float(dim) * float(n) ** dim, 0.0)
-        else:
-            rho = 1.0 * (1.0 - s) * (h * gg) ** (1.0 - dim - s)
-        return rho / gg * h ** (dim - 2)
 
     # A = 0, shrinking family: the kernel difference is the 0/1 region flip
     # and the radial integral has an elementary primitive
@@ -804,16 +798,15 @@ def _bbm_indicator(u, spec, budget):
         c = len(x_chunk)
         t_lo, t_hi = region.ray_interval(x_chunk[:, None, :], rule.nodes[None, :, :])
         inside = region.contains(x_chunk)
-        cut = np.broadcast_to(h_cut[None, :], (c, rule.size))
-        a_in = np.clip(t_lo, 0.0, cut)
-        b_out = np.maximum(np.clip(t_hi, 0.0, cut), a_in)
-        # flatten all (x, sigma) rays; pieces are [0, a], [a, b], [b, cut]
+        # flatten all (x, sigma) rays; pieces are [0, a], [a, b], [b, cut],
+        # with 0 <= a <= b <= cut
+        a_f = np.clip(t_lo, 0.0, h_cut).ravel()
+        b_f = np.maximum(np.clip(t_hi, 0.0, h_cut).ravel(), a_f)
+        cut_f = np.tile(h_cut, c)
         x_rep = np.repeat(x_chunk, rule.size, axis=0)
         s_rep = np.tile(rule.nodes, (c, 1))
         in_rep = np.repeat(inside, rule.size)
         g_rep = np.tile(g, c)
-        a_f, b_f = a_in.ravel(), b_out.ravel()
-        cut_f = cut.ravel()
 
         def seg_value(lo, hi, uy_val):
             """Integral over [lo, hi] of the radial piece where u(y) = uy_val."""
@@ -823,50 +816,28 @@ def _bbm_indicator(u, spec, budget):
                 return out
             width = hi[mask] - lo[mask]
             h = lo[mask][:, None] + width[:, None] * xi[None, :]
-            base = rho_over_g(h, g_rep[mask][:, None])
+            # rho_n(h g) / g * h^(N-2) for p = 1
+            gg = g_rep[mask][:, None]
+            base = family.rho(h * gg, n) / gg * h ** (dim - 2)
             ux_val = in_rep[mask].astype(float)
             if use_phase and uy_val == 1.0:
                 mid_pts = x_rep[mask][:, None, :] + 0.5 * h[:, :, None] * s_rep[mask][:, None, :]
-                dot = np.einsum("brk,bk->br", a.evaluate(mid_pts), s_rep[mask])
-                phase = -h * dot
-                diff_pow = np.abs(np.cos(phase) - ux_val[:, None]) + np.abs(np.sin(phase))
+                rot = _phase(a, mid_pts, h, s_rep[mask], "brk,bk->br")
+                diff_pow = scalar_mixed_modulus_pow(np.subtract(rot, ux_val[:, None], out=rot), 1.0)
             else:
                 diff_pow = np.broadcast_to(np.abs(uy_val - ux_val)[:, None], h.shape)
             out[mask] = width * np.einsum("br,r->b", base * diff_pow, wxi)
             return out
 
-        total = (
-            seg_value(np.zeros_like(a_f), np.minimum(a_f, cut_f), 0.0)
-            + seg_value(a_f, np.minimum(b_f, cut_f), 1.0)
-            + seg_value(np.minimum(b_f, cut_f), cut_f, 0.0)
-        )
+        total = (seg_value(np.zeros_like(a_f), a_f, 0.0) + seg_value(a_f, b_f, 1.0)
+                 + seg_value(b_f, cut_f, 0.0))
         out = np.einsum("cm,m->c", total.reshape(c, rule.size), rule.weights)
         if not shrinking:
             # closed-form tail beyond the truncation where u(y) = 0
-            tail = (1.0 - s) / s * (h_cut * g) ** (-s) / g ** dim
+            tail = family.tail_weight(h_cut * g, n) / g ** dim
             out = out + inside.astype(float) * float(np.einsum("m,m->", tail, rule.weights))
         return out
 
-    res = budget.resolution
-    fn = values_fn_plain if (shrinking and not use_phase) else values_fn
-    cut_max = float(np.max(h_cut))
-
-    def run(resolution):
-        tg = midpoint_grid(dim, radius, resolution)
-        slack = region.offsets[None, :] - np.einsum("nk,fk->nf", tg.points, region.normals)
-        if shrinking:
-            # contributions only from the band around the region boundary
-            live = np.abs(slack).min(axis=1) <= cut_max * 1.0000001
-        else:
-            live = np.ones(len(tg.points), dtype=bool)
-        idx = np.nonzero(live)[0]
-        chunk = 16384 if fn is values_fn_plain else 2048
-        vals = np.zeros(len(tg.points))
-        for start in range(0, len(idx), chunk):
-            sel = idx[start : start + chunk]
-            vals[sel] = fn(tg.points[sel])
-        return float(np.einsum("n,n->", tg.weights, vals))
-
-    fine = run(res)
-    coarse = run(max(res // 2, 8))
-    return fine, abs(fine - coarse)
+    if shrinking and not use_phase:
+        return _midpoint_integrate(values_fn_plain, dim, radius, budget.resolution, live, 16384)
+    return _midpoint_integrate(values_fn, dim, radius, budget.resolution, live, 2048)

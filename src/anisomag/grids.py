@@ -72,9 +72,9 @@ def trapezoid_grid(dim: int, radius: float, resolution: int) -> TensorGrid:
 def midpoint_grid(dim: int, radius: float, resolution: int) -> TensorGrid:
     """Cell-centered grid on [-radius, radius]^dim (no nodes on cell edges).
 
-    The coarse estimate pairs it with a shifted half-resolution midpoint grid;
-    those nodes are not nested, so the coarse value is recomputed by callers
-    via a second grid instead.  Here coarse is simply omitted.
+    Its half-resolution grid is shifted, not nested, so it carries no coarse
+    subset; the error estimate comes from a second grid at half the
+    resolution (see functionals._midpoint_integrate).
     """
     resolution = int(resolution)
     h = 2.0 * radius / resolution

@@ -24,6 +24,7 @@ from .functionals import (
     Gagliardo,
     IntegrationBudget,
     Nguyen,
+    ShrinkingUniformFamily,
     bbm,
     gagliardo,
     nguyen,
@@ -274,17 +275,15 @@ def compare(extrapolation: Extrapolation, target: float, tolerance: float,
     return passed, diagnostics
 
 
-def _point_budget(base: IntegrationBudget, kind: str, t: float, t0: float,
+def _point_budget(base: IntegrationBudget, t: float, t0: float,
                   indicator: bool) -> IntegrationBudget:
     """Budget growth along the schedule: MC samples like 1/t; tensor resolution
     like 1/t for indicator pipelines (the integrand concentrates in a band)."""
-    budget = base
     if base.outer == "montecarlo":
-        budget = replace(budget, samples=int(round(base.samples * t0 / t)))
-    elif indicator:
-        res = int(round(base.resolution * t0 / t))
-        budget = replace(budget, resolution=res)
-    return budget
+        return replace(base, samples=int(round(base.samples * t0 / t)))
+    if indicator:
+        return replace(base, resolution=int(round(base.resolution * t0 / t)))
+    return base
 
 
 def run_study(
@@ -309,8 +308,6 @@ def run_study(
     p times the local energy.  Indicator fields (p = 1) target the anisotropic
     perimeter.
     """
-    from .functionals import LudwigFamily, ShrinkingUniformFamily
-
     if kind not in ("gagliardo", "nguyen", "bbm"):
         raise ValueError("kind must be 'gagliardo', 'nguyen' or 'bbm'")
     schedule = schedule or default_schedule(
@@ -347,7 +344,7 @@ def run_study(
 
     def eval_point(i: int) -> StudyPoint:
         param, t = schedule.values[i], float(t_vals[i])
-        pb = _point_budget(budget, kind, t, t0, indicator)
+        pb = _point_budget(budget, t, t0, indicator)
         pb = replace(pb, seed=derive_seed(seed, "study", kind, i))
         if kind == "gagliardo":
             spec = FunctionalSpec(Gagliardo(float(param)), p, body, a)

@@ -155,6 +155,34 @@ class TestLimitStudy:
         out = run_cli("limit-study", "--config", cfg)
         assert out.returncode == 2
 
+    def test_indicator_with_montecarlo_exits_2(self, tmp_path):
+        # indicators are integrated on midpoint grids only; a Monte Carlo
+        # budget would silently run a fixed-resolution grid
+        payload = self.zero_study_config()
+        payload["field"] = {"family": "indicator",
+                            "region": {"box": {"center": [0, 0], "half_widths": [0.5, 0.5]}}}
+        payload["p"] = 1.0
+        payload["functional"] = {"kind": "bbm"}
+        payload["budget"] = {"outer": "montecarlo", "samples": 64, "resolution": 32}
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        out = run_cli("limit-study", "--config", cfg, "--out", str(tmp_path))
+        assert out.returncode == 2
+        assert "tensor" in out.stderr
+        assert not (tmp_path / "report.json").exists()
+
+    def test_fixed_quadrature_knobs_are_unknown_keys(self, tmp_path):
+        # the radial rule, scan growth, bisection steps and chunk size are
+        # module constants, not budget keys
+        knobs = {"bisection_iters": 30, "chunk": 64, "radial_first_break": 1e-4,
+                 "radial_order": 16, "radial_panel_ratio": 2.0, "scan_min_factor": 1e-7,
+                 "scan_ratio": 1.1}
+        payload = self.zero_study_config()
+        payload["budget"].update(knobs)
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        out = run_cli("limit-study", "--config", cfg)
+        assert out.returncode == 2
+        assert f"budget: unknown keys {sorted(knobs)}" in out.stderr
+
     def test_seed_changes_digits_not_verdict(self, tmp_path):
         payload = {
             "schema_version": 1,

@@ -66,6 +66,18 @@ class TestSpecValidation:
             am.gagliardo(ind, am.FunctionalSpec(am.Gagliardo(0.5), 2.0, ball, zero),
                          am.IntegrationBudget())
 
+    def test_indicator_needs_tensor_outer(self):
+        # indicators are integrated on midpoint grids; a Monte Carlo budget
+        # must not silently run one at a fixed resolution
+        ball, zero = make_specs()
+        ind = am.indicator(am.unit_square())
+        mc = am.IntegrationBudget(outer="montecarlo", samples=64, resolution=32)
+        for fam in (am.ShrinkingUniformFamily(2, 1.0), am.LudwigFamily(2, 1.0)):
+            with pytest.raises(ValueError, match="tensor"):
+                am.bbm(ind, am.FunctionalSpec(am.Bbm(fam, 8), 1.0, ball, zero), mc)
+        with pytest.raises(ValueError, match="tensor"):
+            am.gagliardo(ind, am.FunctionalSpec(am.Gagliardo(0.5), 1.0, ball, zero), mc)
+
 
 class TestMollifierFamilies:
     def test_normalization_closed_form(self):
@@ -468,6 +480,65 @@ class TestIndicatorFrozenValues:
         got = am.gagliardo(am.indicator(am.unit_square()), spec,
                            am.IntegrationBudget(outer="tensor", resolution=32))
         assert repr(got) == "(43.82448617058196, 23.55325689772127)"
+
+
+def _frozen_case(name):
+    ball, square = am.EuclideanBall(2), am.cube(2)
+    rot, zero = am.rotational_potential(1.0), am.zero_potential(2)
+    gauss, wave = am.gaussian(2), am.modulated_gaussian(2, [1.0, 0.5])
+    ludwig, ludwig1 = am.LudwigFamily(2, 2.0), am.LudwigFamily(2, 1.0)
+    shrinking = am.ShrinkingUniformFamily(2, 2.0)
+    mc = am.IntegrationBudget(outer="montecarlo", samples=64, sphere_nodes=32)
+
+    def tensor(resolution):
+        return am.IntegrationBudget(outer="tensor", resolution=resolution, sphere_nodes=32)
+
+    def gag(s, body, u, budget, p=2.0, dim=2):
+        a = am.zero_potential(dim)
+        return am.gagliardo, u, am.FunctionalSpec(am.Gagliardo(s), p, body, a), budget
+
+    def moll(family, a, body, u, budget):
+        return am.bbm, u, am.FunctionalSpec(am.Bbm(family, 8), family.p, body, a), budget
+
+    return {
+        "gagliardo_tensor": gag(0.7, square, gauss, tensor(20)),
+        "gagliardo_mc": gag(0.7, ball, gauss, mc),
+        "gagliardo_1d": gag(0.5, am.EuclideanBall(1), am.gaussian(1),
+                            am.IntegrationBudget(outer="tensor", resolution=24), dim=1),
+        "ludwig_smooth_zero": moll(ludwig, zero, ball, gauss, tensor(16)),
+        "ludwig_smooth_rotational_tensor": moll(ludwig, rot, ball, wave, tensor(16)),
+        "ludwig_smooth_rotational_mc": moll(ludwig, rot, square, wave, mc),
+        "ludwig_indicator_zero": moll(ludwig1, zero, ball, am.indicator(am.unit_square()),
+                                      tensor(24)),
+        "ludwig_indicator_rotational": moll(ludwig1, rot, ball, am.indicator(am.unit_square()),
+                                            tensor(16)),
+        "shrinking_smooth_zero": moll(shrinking, zero, ball, gauss, tensor(16)),
+        "shrinking_smooth_rotational_tensor": moll(shrinking, rot, square, wave, tensor(16)),
+        "shrinking_smooth_rotational_mc": moll(shrinking, rot, ball, wave, mc),
+    }[name]
+
+
+class TestFrozenValues:
+    """(value, error) of the fractional and mollified paths that the
+    indicator and threshold tables above do not cover, recorded as repr
+    strings; a refactor of the outer drivers must reproduce every bit."""
+
+    @pytest.mark.parametrize("name, expected", [
+        ("gagliardo_tensor", "(49.53478731414387, 3.529767118944534)"),
+        ("gagliardo_mc", "(32.971537660896786, 1.9215327628961543)"),
+        ("gagliardo_1d", "(6.2818419158534855, 0.004962722694715538)"),
+        ("ludwig_smooth_zero", "(12.59156779688215, 5.219959537482732)"),
+        ("ludwig_smooth_rotational_tensor", "(27.457070462832263, 12.458297654181337)"),
+        ("ludwig_smooth_rotational_mc", "(49.011191738690286, 4.387128400612905)"),
+        ("ludwig_indicator_zero", "(4.801807395924193, 0.2529516337497322)"),
+        ("ludwig_indicator_rotational", "(4.199705461067584, 27.93922771095208)"),
+        ("shrinking_smooth_zero", "(9.790287061514599, 7.234445896587374)"),
+        ("shrinking_smooth_rotational_tensor", "(41.62527991573825, 3.4362403295156128)"),
+        ("shrinking_smooth_rotational_mc", "(26.39403569569637, 2.585754496663358)"),
+    ])
+    def test_values(self, name, expected):
+        fn, u, spec, budget = _frozen_case(name)
+        assert repr(fn(u, spec, budget, seed=1)) == expected
 
 
 class TestBbm:

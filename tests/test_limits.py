@@ -164,6 +164,15 @@ class TestRunStudy:
             am.run_study(ind, am.zero_potential(2), am.EuclideanBall(2), 2.0, "bbm",
                          budget=am.IntegrationBudget(outer="tensor", resolution=16))
 
+    def test_indicator_needs_tensor_outer(self):
+        # the indicator pipelines integrate on midpoint grids; with a Monte
+        # Carlo budget the study used to grow the unused sample count and
+        # report a verdict from fixed-resolution grids
+        budget = am.IntegrationBudget(outer="montecarlo", samples=64, resolution=32)
+        with pytest.raises(ValueError, match="tensor"):
+            am.run_study(am.indicator(am.unit_square()), am.zero_potential(2),
+                         am.EuclideanBall(2), 1.0, "bbm", None, budget)
+
     def test_threads_do_not_change_results(self):
         u = am.gaussian(2)
         zero = am.zero_potential(2)
