@@ -13,6 +13,7 @@ from scipy.special import gamma
 import anisomag as am
 from anisomag.norms import ROUNDING_FLOOR, dual_norm_z1_batch
 from anisomag.seeding import derive_seed
+from anisomag.spheres import sphere_rule
 
 
 def kpn_closed_form(p: float, dim: int) -> float:
@@ -73,14 +74,18 @@ class TestKpnConstant:
         assert am.kpn_constant(p, dim) == pytest.approx(kpn_closed_form(p, dim), rel=1e-12)
 
     def test_direction_invariance(self):
+        # the closed form against (1/p) sum_m |w . x_m|^p w_m on a fine rule,
+        # for random unit w
         rng = np.random.default_rng(5)
-        for dim in (2, 3):
+        for dim, rule in ((2, sphere_rule(2, 4096)), (3, sphere_rule(3, 80000))):
             for p in (1.0, 2.5, 3.0):
-                base = am.kpn_constant(p, dim)
+                closed = am.kpn_constant(p, dim)
                 for _ in range(3):
-                    omega = rng.standard_normal(dim)
-                    val = am.kpn_constant(p, dim, omega=omega)
-                    assert abs(val - base) <= 1e-10 * base
+                    w = rng.standard_normal(dim)
+                    w /= np.linalg.norm(w)
+                    proj = np.abs(np.einsum("mk,k->m", rule.nodes, w)) ** p
+                    val = float(np.einsum("m,m->", proj, rule.weights)) / p
+                    assert abs(val - closed) <= 1e-4 * closed
 
 
 class TestMomentNorm:
@@ -120,13 +125,17 @@ class TestMomentNorm:
         with pytest.raises(ValueError):
             am.moment_norm(ev, np.array([1.0 + 0j, 0.0, 0.0]))
 
-    def test_stream_changes_draws(self):
-        ev = am.MomentNormEvaluator(am.cube(2), 2.0, am.BodyMonteCarlo(4096, 3))
-        v = np.array([1.0 + 0.5j, -0.25 + 0j])
-        a0 = am.moment_norm(ev, v, stream=0)
-        a1 = am.moment_norm(ev, v, stream=1)
-        assert a0 != a1
-        assert a0 == am.moment_norm(ev, v, stream=0)
+    def test_seed_changes_draws(self):
+        v = np.array([[1.0 + 0.5j, -0.25 + 0j]])
+
+        def draw(seed):
+            ev = am.MomentNormEvaluator(am.cube(2), 2.0, am.BodyMonteCarlo(4096, seed))
+            return am.moment_norm_batch(ev, v)
+
+        values, errors = draw(3)
+        assert not np.array_equal(values, draw(4)[0])
+        again = draw(3)
+        assert np.array_equal(values, again[0]) and np.array_equal(errors, again[1])
 
 
 class TestMomentNormSphere:
@@ -213,12 +222,13 @@ class TestDualNorm:
         assert np.all(lhs <= norms * duals * (1 + 2e-4) + 1e-6)
 
     def test_batch_matches_scalar(self):
-        body = am.regular_hexagon()
-        rng = np.random.default_rng(13)
-        ws = rng.standard_normal((5, 2))
-        batch = dual_norm_z1_batch(body, ws)
-        for w, b in zip(ws, batch):
-            assert b == pytest.approx(am.dual_norm_z1(body, w), rel=1e-6)
+        # K = A B with A = diag(2, 1): ||v||_{1,K} = 8 |A v|, so the dual norm
+        # is |A^{-1} w| / 8
+        body = am.Ellipsoid.from_semi_axes([2.0, 1.0])
+        ws = np.random.default_rng(13).standard_normal((5, 2))
+        exact = np.sqrt(np.einsum("nk,nk->n", ws / [2.0, 1.0], ws / [2.0, 1.0])) / 8.0
+        assert am.dual_norm_z1(body, ws[0]) == pytest.approx(exact[0], rel=1e-6)
+        np.testing.assert_allclose(dual_norm_z1_batch(body, ws), exact, rtol=1e-6, atol=0.0)
 
     def test_dim1(self):
         # K = [-a, a]: ||v||_{1,K} = 2 a^2 |v|, dual = |w| / (2 a^2)
