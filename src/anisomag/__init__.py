@@ -71,11 +71,9 @@ from .norms import (
     BodyMonteCarlo,
     MomentNormEvaluator,
     SphereMomentKernel,
-    SphereQuadrature,
     dual_norm_z1,
     kpn_constant,
     mixed_modulus,
-    moment_norm,
     moment_norm_batch,
     moment_norm_sphere,
 )

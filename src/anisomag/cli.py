@@ -44,13 +44,7 @@ from .fields import (
 )
 from .functionals import IntegrationBudget, LudwigFamily, ShrinkingUniformFamily
 from .limits import Schedule, run_study
-from .norms import (
-    BodyMonteCarlo,
-    MomentNormEvaluator,
-    SphereQuadrature,
-    moment_norm_batch,
-    moment_norm_sphere,
-)
+from .norms import BodyMonteCarlo, MomentNormEvaluator, moment_norm_batch, moment_norm_sphere
 from .seeding import derive_seed
 
 CONFIG_SCHEMA_VERSION = 1
@@ -216,7 +210,7 @@ def cmd_norms(args) -> int:
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
     method_name = cfg.get("method", "sphere_quadrature")
     if method_name == "sphere_quadrature":
-        ev = MomentNormEvaluator(body, p, SphereQuadrature())
+        ev = MomentNormEvaluator(body, p)
     elif method_name == "body_montecarlo":
         ev = MomentNormEvaluator(body, p, BodyMonteCarlo(65536, derive_seed(seed, "norms")))
     else:
@@ -229,11 +223,14 @@ def cmd_norms(args) -> int:
     print(f"{'vector':<24} {'gauge':>12} {'moment_norm':>14} {'error':>12}")
     for v in vectors:
         gauge = body.gauge(v.real) if not v.imag.any() else float("nan")
-        val, err = moment_norm_batch(ev, v[None, :])
+        if ev.method is None:
+            val, err = moment_norm_sphere(ev, v)
+        else:
+            (val,), (err,) = moment_norm_batch(ev, v[None, :])
         label = "[" + " ".join(f"{c.real:g}{c.imag:+g}j" if c.imag else f"{c.real:g}"
                                 for c in v) + "]"
-        print(f"{label:<24} {gauge:>12.6g} {val[0]:>14.8g} {err[0]:>12.3g}")
-        rows.append((label, repr(float(gauge)), repr(float(val[0])), repr(float(err[0]))))
+        print(f"{label:<24} {gauge:>12.6g} {val:>14.8g} {err:>12.3g}")
+        rows.append((label, repr(float(gauge)), repr(float(val)), repr(float(err))))
     out = _out_dir(args)
     if out is not None:
         _write_csv(out / "norms.csv", rows)
@@ -276,7 +273,7 @@ def cmd_check_id2(args) -> int:
 def cmd_limit_study(args) -> int:
     cfg = load_config(args.config)
     allowed = {"schema_version", "body", "field", "potential", "p", "functional",
-               "schedule", "budget", "seed", "tolerance", "mollifier", "target_mode"}
+               "schedule", "budget", "seed", "tolerance", "mollifier"}
     _require_keys(cfg, allowed, {"body", "field", "potential", "p", "functional"}, "config")
     body = parse_body(cfg["body"])
     u = parse_field(cfg["field"])
@@ -298,7 +295,6 @@ def cmd_limit_study(args) -> int:
     try:
         report = run_study(u, a, body, p, kind, schedule, budget, seed=seed,
                            tolerance=tolerance, mollifier_family=family,
-                           target_mode=cfg.get("target_mode", "auto"),
                            threads=args.threads)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"study: {exc}") from exc
@@ -363,24 +359,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # each subcommand registers only the options it reads
+    def common(p, *options):
         p.add_argument("--out", default=None, help="output directory (must exist)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        if "--seed" in options:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if "--threads" in options:
+            p.add_argument("--threads", type=int, default=1, help="worker threads")
 
     p_norms = sub.add_parser("norms", help="gauge and moment-norm table for listed vectors")
     p_norms.add_argument("--config", required=True)
-    common(p_norms)
+    common(p_norms, "--seed")
     p_norms.set_defaults(func=cmd_norms)
 
     p_id2 = sub.add_parser("check-id2", help="two-route moment-norm comparison")
     p_id2.add_argument("--config", required=True)
-    common(p_id2)
+    common(p_id2, "--seed")
     p_id2.set_defaults(func=cmd_check_id2)
 
     p_study = sub.add_parser("limit-study", help="run a limit study from a config")
     p_study.add_argument("--config", required=True)
-    common(p_study)
+    common(p_study, "--seed", "--threads")
     p_study.set_defaults(func=cmd_limit_study)
 
     p_per = sub.add_parser("perimeter", help="anisotropic perimeter of a polytope region")
@@ -391,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_acc = sub.add_parser("acceptance", help="run the pinned acceptance suite")
     p_acc.add_argument("--only", default=None, help="comma-separated criterion names")
     p_acc.add_argument("--json", action="store_true", help="machine-readable summary")
-    common(p_acc)
+    common(p_acc, "--seed", "--threads")
     p_acc.set_defaults(func=cmd_acceptance)
 
     return parser

@@ -58,12 +58,11 @@ def local_energy(
     body: ConvexBody,
     p: float,
     grid: GridSpec = GridSpec(),
-    kernel: SphereMomentKernel | None = None,
 ) -> tuple[float, float]:
     """integral of ||grad u - i A u||_{p,K}^p dx with a two-resolution error estimate."""
     if not u.smooth:
         raise ValueError("local energy requires a smooth field")
-    kernel = kernel or SphereMomentKernel(body, p, sphere_rule(body.dim, grid.sphere_nodes, body=body))
+    kernel = SphereMomentKernel(body, p, sphere_rule(body.dim, grid.sphere_nodes, body=body))
     return _integrate_gradient(u, a, grid, kernel.norms_pow_p)
 
 
@@ -98,9 +97,7 @@ def _default_nodes(dim: int) -> int:
     return {1: 2, 2: 2048, 3: 8192, 4: 32768}[dim]
 
 
-def anisotropic_perimeter(
-    region: Polytope, body: ConvexBody, kernel: SphereMomentKernel | None = None
-) -> float:
+def anisotropic_perimeter(region: Polytope, body: ConvexBody) -> float:
     """Sum over facets of area times the moment-body norm of the unit normal.
 
     This is the total variation of the region's indicator under the BV
@@ -111,9 +108,6 @@ def anisotropic_perimeter(
     areas = region.facet_areas()
     if float(areas.sum()) == 0.0:
         return 0.0
-    if kernel is not None:
-        norms = kernel.norms_pow_p(region.normals)
-        return float(np.einsum("f,f->", areas, norms))
     total = 0.0
     for area, normal in zip(areas, region.normals):
         rule = adapted_moment_rule(body, normal, order=48)

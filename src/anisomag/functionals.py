@@ -66,10 +66,6 @@ class LudwigFamily:
         s = self.s_value(n)
         return self.p * (1.0 - s) * np.asarray(r, dtype=float) ** (self.p - self.dim - self.p * s)
 
-    def normalization(self, n: int) -> float:
-        # integral_0^1 rho_n r^(N-1) dr = p(1-s) * integral_0^1 r^(p(1-s)-1) dr = 1
-        return 1.0
-
     def tail_weight(self, delta: float, n: int) -> float:
         """integral_delta^inf rho_n(r) r^(N-1-p) dr, closed form."""
         s = self.s_value(n)
@@ -83,17 +79,18 @@ class ShrinkingUniformFamily:
     dim: int
     p: float
 
+    def height(self, n: int) -> float:
+        """N n^N, the value of rho_n on its support."""
+        return float(self.dim) * n**self.dim
+
     def rho(self, r, n: int):
         r = np.asarray(r, dtype=float)
-        return np.where(r <= 1.0 / n, float(self.dim) * n**self.dim, 0.0)
-
-    def normalization(self, n: int) -> float:
-        return 1.0
+        return np.where(r <= 1.0 / n, self.height(n), 0.0)
 
     def tail_weight(self, delta: float, n: int) -> float:
         if delta >= 1.0 / n:
             return 0.0
-        nn = float(self.dim) * n**self.dim
+        nn = self.height(n)
         e = self.dim - self.p
         if e == 0:
             return nn * math.log(1.0 / (n * delta))
@@ -360,7 +357,7 @@ def _outer_integrate(values_fn, u, radius, budget, label, seed, chunk=_CHUNK):
 
     "tensor" skips the trapezoid nodes outside the ball, where the spherical
     decomposition does not hold; "montecarlo" draws the defensive gaussian
-    mixture of width _importance_tau(u) from the stream ``label``/``seed``.
+    mixture of width _importance_tau(u) with the seed derived from ``label``/``seed``.
     """
     if budget.outer == "montecarlo":
         pts, rho = _mixture_samples(u.dim, radius, _importance_tau(u), budget.samples,
@@ -716,7 +713,7 @@ def _bbm_shrinking_smooth(u, spec, budget, seed):
     rule = sphere_rule(dim, budget.sphere_nodes, body=body)
     g = body.gauge(rule.nodes)
     h_sup = 1.0 / (n * g)  # radial support endpoint per direction
-    rho_const = float(dim) * float(n) ** dim
+    rho_const = spec.kind.family.height(n)
     xg, wg = np.polynomial.legendre.leggauss(_RADIAL_ORDER)
     xi = 0.5 * (xg + 1.0)
     wxi = 0.5 * wg
@@ -760,6 +757,7 @@ def _bbm_indicator(u, spec, budget):
     if shrinking:
         h_cut = 1.0 / (n * g)  # rho vanishes beyond this
         cut_max = float(np.max(h_cut))
+        plain_w = rule.weights * family.height(n) / g
         radius = u.support_radius + cut_max
 
         def live(points):
@@ -777,8 +775,6 @@ def _bbm_indicator(u, spec, budget):
 
     # A = 0, shrinking family: the kernel difference is the 0/1 region flip
     # and the radial integral has an elementary primitive
-    plain_w = rule.weights * (float(dim) * float(n) ** dim) / g
-
     def values_fn_plain(x_chunk):
         a_in, b_out = region.ray_interval(x_chunk[:, None, :], rule.nodes[None, :, :])
         inside = region.contains(x_chunk)
@@ -799,7 +795,8 @@ def _bbm_indicator(u, spec, budget):
         t_lo, t_hi = region.ray_interval(x_chunk[:, None, :], rule.nodes[None, :, :])
         inside = region.contains(x_chunk)
         # flatten all (x, sigma) rays; pieces are [0, a], [a, b], [b, cut],
-        # with 0 <= a <= b <= cut
+        # with 0 <= a <= b <= cut.  [0, a] adds nothing: outside the region
+        # u(x) = u(y) = 0 there, and inside a = 0
         a_f = np.clip(t_lo, 0.0, h_cut).ravel()
         b_f = np.maximum(np.clip(t_hi, 0.0, h_cut).ravel(), a_f)
         cut_f = np.tile(h_cut, c)
@@ -829,8 +826,7 @@ def _bbm_indicator(u, spec, budget):
             out[mask] = width * np.einsum("br,r->b", base * diff_pow, wxi)
             return out
 
-        total = (seg_value(np.zeros_like(a_f), a_f, 0.0) + seg_value(a_f, b_f, 1.0)
-                 + seg_value(b_f, cut_f, 0.0))
+        total = seg_value(a_f, b_f, 1.0) + seg_value(b_f, cut_f, 0.0)
         out = np.einsum("cm,m->c", total.reshape(c, rule.size), rule.weights)
         if not shrinking:
             # closed-form tail beyond the truncation where u(y) = 0

@@ -296,7 +296,6 @@ def run_study(
     budget: IntegrationBudget | None = None,
     seed: int = 0,
     tolerance: float = 0.02,
-    target_mode: str = "auto",
     mollifier_family=None,
     target_grid: GridSpec | None = None,
     threads: int = 1,
@@ -318,26 +317,16 @@ def run_study(
         mollifier_family = ShrinkingUniformFamily(body.dim, p)
     indicator = not u.smooth
 
-    # target
-    if target_mode == "auto":
-        if indicator:
-            if p != 1.0:
-                raise ValueError("indicator targets exist only at p = 1")
-            target_mode = "perimeter"
-        else:
-            target_mode = "p_local_energy" if kind == "bbm" else "local_energy"
-    if target_mode == "perimeter":
-        target = anisotropic_perimeter(u.region, body)
-        target_error = 0.0
-        if kind == "bbm":
-            target *= p  # p = 1 in practice
-    elif target_mode in ("local_energy", "p_local_energy"):
-        grid = target_grid or GridSpec(resolution=128)
-        e, e_err = local_energy(u, a, body, p, grid)
-        factor = p if target_mode == "p_local_energy" else 1.0
-        target, target_error = factor * e, factor * e_err
+    if indicator:
+        if p != 1.0:
+            raise ValueError("indicator targets exist only at p = 1")
+        target_mode = "perimeter"
+        target, target_error = anisotropic_perimeter(u.region, body), 0.0
     else:
-        raise ValueError("target_mode must be auto, local_energy, p_local_energy or perimeter")
+        target_mode = "p_local_energy" if kind == "bbm" else "local_energy"
+        e, e_err = local_energy(u, a, body, p, target_grid or GridSpec(resolution=128))
+        factor = p if kind == "bbm" else 1.0
+        target, target_error = factor * e, factor * e_err
 
     t_vals = schedule.t_values
     t0 = float(t_vals[0])

@@ -4,14 +4,17 @@ The central object is the norm
 
     ||v||_{p,K} = ( (N+p)/p * integral_K |v . x|_p^p dx )^(1/p),   v in C^N,
 
-which is evaluated either by Monte Carlo over the body or through the
-equivalent surface representation
+with one entry point per route: moment_norm_batch takes a Monte Carlo mean
+over the body, and moment_norm_sphere integrates the equivalent surface
+representation
 
-    ||v||_{p,K}^p = (1/p) * integral_{S^{N-1}} |v . s|_p^p / gauge(s)^{N+p} ds.
+    ||v||_{p,K}^p = (1/p) * integral_{S^{N-1}} |v . s|_p^p / gauge(s)^{N+p} ds
 
-Agreement of the two routes is itself a correctness check and is exercised by
-the acceptance suite.  All hot-path contractions use einsum/broadcasting (no
-BLAS) so results are bitwise reproducible regardless of threading.
+on a sphere rule adapted to each vector.  Agreement of the two routes is
+itself a correctness check and is exercised by the acceptance suite.
+dual_norm_z1 is the dual of the p = 1 norm.  All hot-path contractions use
+einsum/broadcasting (no BLAS) so results are bitwise reproducible regardless
+of threading.
 
 At p = 2 the surface sum is a quadratic form: with the rule's nodes sigma_m
 and kernel weights w_m,
@@ -36,8 +39,6 @@ from .bodies import ConvexBody
 from .seeding import derive_seed
 from .spheres import SphereRule, circle_panels, slice_rule, sphere_rule
 
-# relative accuracy of the multistart ascent in dual_norm_z1 at N <= 3
-DUAL_NORM_RELATIVE_TOL = 1e-4
 # a surface sum is known to no better than rounding, even where the fine and
 # coarse rules agree exactly (QUADPACK floors its estimates the same way)
 ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
@@ -107,26 +108,15 @@ def _surface_pow_p(v, nodes, weights, moment, p: float) -> np.ndarray:
     return val
 
 
-def kpn_constant(p: float, dim: int, rule: SphereRule | None = None,
-                 omega=None) -> float:
-    """(1/p) * integral_{S^{N-1}} |w . x|^p dsigma for a fixed unit w.
+def kpn_constant(p: float, dim: int) -> float:
+    """(1/p) * integral_{S^{N-1}} |w . x|^p dsigma for any unit w.
 
     The value is direction independent and has the closed form
     (1/p) 2 pi^((N-1)/2) Gamma((p+1)/2) / Gamma((N+p)/2) (2/p at N = 1, where
-    the sphere is {-1, +1} with counting measure).  Passing ``rule`` evaluates
-    the integral on that rule instead, against e_1 or the given ``omega``
-    (accuracy then limited by the rule).
+    the sphere is {-1, +1} with counting measure).
     """
     if p < 1.0:
         raise ValueError("p must satisfy p >= 1")
-    if rule is not None:
-        w = np.zeros(dim)
-        w[0] = 1.0
-        if omega is not None:
-            w = np.asarray(omega, dtype=float)
-            w /= np.linalg.norm(w)
-        proj = np.abs(np.einsum("mk,k->m", rule.nodes, w)) ** p
-        return float(np.einsum("m,m->", proj, rule.weights)) / p
     sphere_moment = 2.0 * math.pi ** ((dim - 1) / 2.0) * math.gamma((p + 1) / 2.0)
     return sphere_moment / math.gamma((dim + p) / 2.0) / p
 
@@ -215,21 +205,12 @@ class BodyMonteCarlo:
     seed: int
 
 
-@dataclass(frozen=True)
-class SphereQuadrature:
-    nodes: int = 0  # 0 = per-dimension default
-
-
 class MomentNormEvaluator:
-    """Evaluator of ||.||_{p,K} on C^N with a chosen integration method.
+    """||.||_{p,K} on C^N; moment_norm_batch needs a BodyMonteCarlo method,
+    moment_norm_sphere none.  Immutable: the Monte Carlo points derive from
+    the method's seed alone, so thread count never changes any result."""
 
-    Immutable after construction.  Monte Carlo sample streams are derived from
-    (construction seed, caller-provided stream index), so concurrent callers
-    that pass distinct streams get independent draws and thread count never
-    changes any result.
-    """
-
-    def __init__(self, body: ConvexBody, p: float, method: BodyMonteCarlo | SphereQuadrature):
+    def __init__(self, body: ConvexBody, p: float, method: BodyMonteCarlo | None = None):
         if p < 1.0:
             raise ValueError("p must satisfy p >= 1")
         self.body = body
@@ -237,116 +218,81 @@ class MomentNormEvaluator:
         self.method = method
         self.normalizer = (body.dim + p) / p
 
-    def _samples(self, stream: int) -> np.ndarray:
-        assert isinstance(self.method, BodyMonteCarlo)
-        seed = derive_seed(self.method.seed, "moment-norm", stream)
-        return self.body.sample_uniform(self.method.samples, seed)
 
+def moment_norm_batch(ev: MomentNormEvaluator, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo moment-body norms of the rows of ``v`` with error estimates.
 
-def moment_norm_batch(
-    ev: MomentNormEvaluator, v: np.ndarray, stream: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Moment-body norms of the rows of ``v`` with error estimates.
-
-    Monte Carlo: value from vol(K) * sample mean of |v . x|_p^p, error as the
-    propagated standard error of that mean.  Sphere quadrature: deterministic
-    value, error from comparing against the coarsened rule.
+    The value is vol(K) * sample mean of |v . x|_p^p, the error the
+    propagated standard error of that mean.
     """
     v = np.atleast_2d(np.asarray(v, dtype=complex))
     if v.shape[-1] != ev.body.dim:
         raise ValueError("vector dimension does not match the body")
-    if isinstance(ev.method, BodyMonteCarlo):
-        if ev.method.samples < 1:
-            raise ValueError("evaluator has zero samples")
-        pts = ev._samples(stream)
-        re, im = _projections(v, pts, "vk,nk->vn")
-        pw = mixed_pow_parts(re, im, ev.p)
-        mean = np.einsum("vn->v", pw) / pts.shape[0]
-        var = np.einsum("vn->v", (pw - mean[:, None]) ** 2) / max(pts.shape[0] - 1, 1)
-        sem = np.sqrt(var / pts.shape[0])
-        vol = ev.body.volume()
-        integral = ev.normalizer * vol * mean
-        values = integral ** (1.0 / ev.p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            errors = np.where(
-                integral > 0.0,
-                values * (ev.normalizer * vol * sem) / (ev.p * np.maximum(integral, 1e-300)),
-                0.0,
-            )
-        return values, errors
-    order = ev.method.nodes or 32
-    results = [moment_norm_sphere(ev, row, order=order) for row in v]
-    return np.array([r[0] for r in results]), np.array([r[1] for r in results])
+    if ev.method is None:
+        raise ValueError("moment_norm_batch needs an evaluator with BodyMonteCarlo samples")
+    if ev.method.samples < 1:
+        raise ValueError("evaluator has zero samples")
+    pts = ev.body.sample_uniform(ev.method.samples, derive_seed(ev.method.seed, "moment-norm", 0))
+    re, im = _projections(v, pts, "vk,nk->vn")
+    pw = mixed_pow_parts(re, im, ev.p)
+    mean = np.einsum("vn->v", pw) / pts.shape[0]
+    var = np.einsum("vn->v", (pw - mean[:, None]) ** 2) / max(pts.shape[0] - 1, 1)
+    sem = np.sqrt(var / pts.shape[0])
+    vol = ev.body.volume()
+    integral = ev.normalizer * vol * mean
+    values = integral ** (1.0 / ev.p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        errors = np.where(
+            integral > 0.0,
+            values * (ev.normalizer * vol * sem) / (ev.p * np.maximum(integral, 1e-300)),
+            0.0,
+        )
+    return values, errors
 
 
-def moment_norm(ev: MomentNormEvaluator, v, stream: int = 0) -> tuple[float, float]:
-    values, errors = moment_norm_batch(ev, np.asarray(v, dtype=complex)[None, :], stream)
-    return float(values[0]), float(errors[0])
-
-
-def moment_norm_sphere(
-    ev: MomentNormEvaluator, v, rule: SphereRule | None = None, order: int = 32
-) -> tuple[float, float]:
-    """Surface-representation route for the same norm (the identity check).
-
-    By default the rule is adapted to the kinks of this particular vector;
-    passing ``rule`` integrates on that rule instead.
-    """
+def moment_norm_sphere(ev: MomentNormEvaluator, v) -> tuple[float, float]:
+    """Surface-representation route for the same norm (the identity check),
+    on a sphere rule adapted to the kinks of this particular vector."""
     v = np.asarray(v, dtype=complex)
     if v.shape[-1] != ev.body.dim:
         raise ValueError("vector dimension does not match the body")
-    if rule is None:
-        rule = adapted_moment_rule(ev.body, v, order)
-    kernel = SphereMomentKernel(ev.body, ev.p, rule)
+    kernel = SphereMomentKernel(ev.body, ev.p, adapted_moment_rule(ev.body, v))
     return kernel.norm(v), kernel.norm_error_estimate(v)
 
 
-def dual_norm_z1(body: ConvexBody, w, rule: SphereRule | None = None) -> float:
+def dual_norm_z1(body: ConvexBody, w) -> float | np.ndarray:
     """Dual norm sup{<v, w> : ||v||_{1,K} <= 1} over real vectors.
 
-    Maximizes <s, w>/||s||_{1,K} over unit directions: a dense direction scan
-    seeds a local ascent on the sphere.  The result is a lower bound
-    converging to the supremum as the scan refines (quoted: 1e-4 relative at
-    N <= 3).
+    ``w`` is one vector (the result is a float) or an (n, N) batch (an
+    array).  The supremum of <s, w>/||s||_{1,K} over unit directions s is
+    exact at N = 1; at N = 2 a 2048-direction scan is refined by a parabola
+    through the best direction and its neighbours (a maximizer on a kink
+    keeps the scan value); at N = 3 a dense scan seeds a Nelder-Mead ascent
+    on the sphere.  Above N = 1 the result is a lower bound on the supremum
+    for the kernel's quadrature of the norm, converging as the scan refines.
     """
-    if np.iscomplexobj(np.asarray(w)):
+    w = np.asarray(w)
+    if np.iscomplexobj(w):
         raise ValueError("dual norm is defined for real vectors")
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.shape[0] != body.dim:
-        raise ValueError("w must be a real vector matching the body dimension")
-    if not np.any(w):
-        return 0.0
-    kernel = SphereMomentKernel(body, 1.0, rule or sphere_rule(body.dim, body=body))
-    scan = sphere_rule(body.dim, 1024 if body.dim == 2 else 8192, body=body)
-    ratios = np.einsum("mk,k->m", scan.nodes, w) / kernel.norms_pow_p(scan.nodes)
-    best = float(np.max(ratios))
+    ws = np.atleast_2d(w.astype(float))
+    if w.ndim > 2 or ws.shape[-1] != body.dim:
+        raise ValueError("w must be a real vector or batch matching the body dimension")
+    if body.dim > 3:
+        raise ValueError("dual norm implemented for dimensions 1 through 3")
+    kernel = SphereMomentKernel(body, 1.0)
     if body.dim == 1:
-        return best
-
-    def neg_ratio_angles(angles: np.ndarray) -> float:
-        sigma = _sigma_from_angles(angles, body.dim)
-        return -float(np.einsum("k,k->", sigma, w)) / float(kernel.norms_pow_p(sigma))
-
-    from scipy import optimize
-
-    start = scan.nodes[int(np.argmax(ratios))]
-    x0 = _angles_from_sigma(start)
-    res = optimize.minimize(neg_ratio_angles, x0, method="Nelder-Mead",
-                            options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 400})
-    return max(best, float(-res.fun))
+        duals = np.abs(ws[:, 0]) / float(kernel.norms_pow_p(np.array([1.0])))
+    elif body.dim == 2:
+        duals = _dual_scan_2d(kernel, ws)
+    else:
+        scan = sphere_rule(3, 8192, body=body)
+        ratios = np.einsum("nk,mk->nm", ws, scan.nodes) / kernel.norms_pow_p(scan.nodes)
+        duals = np.array([_dual_ascent(kernel, row, scan.nodes[np.argmax(r)], np.max(r))
+                          for row, r in zip(ws, ratios)])
+    return float(duals[0]) if w.ndim == 1 else duals
 
 
-def dual_norm_z1_batch(body: ConvexBody, ws, rule: SphereRule | None = None) -> np.ndarray:
-    """Vectorized dual norms at N = 2: dense angular scan plus a parabolic
-    refinement around each maximizer (kink maximizers keep the scan value)."""
-    ws = np.atleast_2d(np.asarray(ws, dtype=float))
-    if body.dim == 1:
-        kernel = SphereMomentKernel(body, 1.0, rule or sphere_rule(1))
-        norm_plus = float(kernel.norms_pow_p(np.array([1.0])))
-        return np.abs(ws[:, 0]) / norm_plus
-    if body.dim != 2:
-        return np.array([dual_norm_z1(body, w, rule) for w in ws])
-    kernel = SphereMomentKernel(body, 1.0, rule or sphere_rule(2, body=body))
+def _dual_scan_2d(kernel: SphereMomentKernel, ws: np.ndarray) -> np.ndarray:
     m = 2048
     theta = 2.0 * np.pi * np.arange(m) / m
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -368,9 +314,22 @@ def dual_norm_z1_batch(body: ConvexBody, ws, rule: SphereRule | None = None) -> 
     return np.maximum(f0, f_ref)
 
 
-def _sigma_from_angles(angles: np.ndarray, dim: int) -> np.ndarray:
-    if dim == 2:
-        return np.array([np.cos(angles[0]), np.sin(angles[0])])
+def _dual_ascent(kernel: SphereMomentKernel, w: np.ndarray, start: np.ndarray,
+                 best: float) -> float:
+    """Nelder-Mead ascent of <s, w>/||s||_{1,K} from the scan's best direction."""
+
+    def neg_ratio_angles(angles: np.ndarray) -> float:
+        sigma = _sigma_from_angles(angles)
+        return -float(np.einsum("k,k->", sigma, w)) / float(kernel.norms_pow_p(sigma))
+
+    from scipy import optimize
+
+    res = optimize.minimize(neg_ratio_angles, _angles_from_sigma(start), method="Nelder-Mead",
+                            options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 400})
+    return max(float(best), float(-res.fun))
+
+
+def _sigma_from_angles(angles: np.ndarray) -> np.ndarray:
     theta, phi = angles
     return np.array(
         [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)]
@@ -378,6 +337,4 @@ def _sigma_from_angles(angles: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _angles_from_sigma(sigma: np.ndarray) -> np.ndarray:
-    if len(sigma) == 2:
-        return np.array([np.arctan2(sigma[1], sigma[0])])
     return np.array([np.arctan2(sigma[1], sigma[0]), np.arccos(np.clip(sigma[2], -1, 1))])

@@ -2,8 +2,8 @@
 
 Every random draw in the package flows from a single master seed through
 ``derive_seed(master, *labels)``: the labels (component names, schedule
-indices, stream counters) are hashed with the seed so distinct components get
-independent streams and results never depend on evaluation order or thread
+indices, counters) are hashed with the seed so distinct components get
+independent draws and results never depend on evaluation order or thread
 count.
 """
 

@@ -84,6 +84,16 @@ class TestNorms:
         assert out.returncode == 2
         assert "typo_key" in out.stderr
 
+    def test_threads_option_exits_2(self, tmp_path):
+        # norms runs on one thread; an option it would ignore is not accepted
+        cfg = write_config(tmp_path / "cfg.json", {
+            "schema_version": 1, "body": {"shape": "cube", "dim": 2}, "p": 1.0,
+            "vectors": [[1.0, 0.0]],
+        })
+        out = run_cli("norms", "--config", cfg, "--threads", "2")
+        assert out.returncode == 2
+        assert "--threads" in out.stderr
+
 
 class TestCheckId2:
     @pytest.mark.parametrize("body", [
@@ -140,6 +150,16 @@ class TestLimitStudy:
         assert report["schema_version"] == 1
         assert (tmp_path / "points.csv").read_text().splitlines()[0] == "parameter,value,error"
         assert (tmp_path / "plot.dat").exists()
+
+    def test_target_mode_key_exits_2(self, tmp_path):
+        # the target follows from the functional and the field
+        payload = self.zero_study_config()
+        payload["target_mode"] = "local_energy"
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        out = run_cli("limit-study", "--config", cfg, "--out", str(tmp_path))
+        assert out.returncode == 2
+        assert "target_mode" in out.stderr
+        assert not (tmp_path / "report.json").exists()
 
     def test_missing_output_dir_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", self.zero_study_config())
@@ -216,6 +236,17 @@ class TestPerimeter:
         out = run_cli("perimeter", "--config", cfg, "--out", str(tmp_path))
         assert out.returncode == 0
         assert abs(float((tmp_path / "perimeter.csv").read_text().splitlines()[1]) - 16.0) < 1e-8
+
+    def test_seed_option_exits_2(self, tmp_path):
+        # the perimeter is deterministic; an option it would ignore is not accepted
+        cfg = write_config(tmp_path / "cfg.json", {
+            "schema_version": 1,
+            "region": {"box": {"center": [0.0, 0.0], "half_widths": [0.5, 0.5]}},
+            "body": {"shape": "ball", "dim": 2},
+        })
+        out = run_cli("perimeter", "--config", cfg, "--seed", "1")
+        assert out.returncode == 2
+        assert "--seed" in out.stderr
 
 
 class TestAcceptanceCommand:

@@ -129,6 +129,10 @@ class TestRunStudy:
             assert rep.passed
             assert rep.extrapolation.limit == pytest.approx(0.0, abs=1e-12)
             assert rep.target == pytest.approx(0.0, abs=1e-12)
+            # the target follows from the functional: p times the local
+            # energy for the mollified one
+            expected = "p_local_energy" if kind == "bbm" else "local_energy"
+            assert rep.study["target_mode"] == expected
 
     def test_report_round_trip(self):
         u0 = am.zero_field(2)

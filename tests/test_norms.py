@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.special import gamma
 
 import anisomag as am
-from anisomag.norms import ROUNDING_FLOOR, dual_norm_z1_batch
+from anisomag.norms import ROUNDING_FLOOR
 from anisomag.seeding import derive_seed
 from anisomag.spheres import sphere_rule
 
@@ -92,38 +92,44 @@ class TestMomentNorm:
     def test_cube_p1_exact(self):
         # (N+p)/p * integral over the cube of |x_1| = 3 * 2 = 6 (exact 1-D integral)
         cube = am.cube(2)
-        ev = am.MomentNormEvaluator(cube, 1.0, am.SphereQuadrature())
-        val, err = am.moment_norm(ev, np.array([1.0 + 0j, 0.0]))
+        ev = am.MomentNormEvaluator(cube, 1.0)
+        val, err = am.moment_norm_sphere(ev, np.array([1.0 + 0j, 0.0]))
         assert val == pytest.approx(6.0, rel=1e-10)
         ev_mc = am.MomentNormEvaluator(cube, 1.0, am.BodyMonteCarlo(65536, 3))
-        val_mc, err_mc = am.moment_norm(ev_mc, np.array([1.0 + 0j, 0.0]))
+        (val_mc,), (err_mc,) = am.moment_norm_batch(ev_mc, np.array([1.0 + 0j, 0.0]))
         assert abs(val_mc - 6.0) < 4 * err_mc
         assert err_mc > 0.0
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_ball_euclidean_specialization(self, p, dim):
-        ev = am.MomentNormEvaluator(am.EuclideanBall(dim), p, am.SphereQuadrature())
+        ev = am.MomentNormEvaluator(am.EuclideanBall(dim), p)
         rng = np.random.default_rng(int(10 * p) + dim)
         for _ in range(3):
             w = rng.standard_normal(dim)
-            val, _ = am.moment_norm(ev, w.astype(complex))
+            val, _ = am.moment_norm_sphere(ev, w.astype(complex))
             ref = am.kpn_constant(p, dim) ** (1.0 / p) * float(np.linalg.norm(w))
             assert abs(val - ref) <= 1e-6 * ref
 
     def test_zero_vector(self):
-        ev = am.MomentNormEvaluator(am.cube(2), 2.0, am.SphereQuadrature())
-        assert am.moment_norm(ev, np.zeros(2, dtype=complex))[0] == 0.0
+        ev = am.MomentNormEvaluator(am.cube(2), 2.0, am.BodyMonteCarlo(4096, 1))
+        assert am.moment_norm_batch(ev, np.zeros(2, dtype=complex))[0][0] == 0.0
 
     def test_rejects_zero_samples(self):
         ev = am.MomentNormEvaluator(am.cube(2), 2.0, am.BodyMonteCarlo(0, 1))
         with pytest.raises(ValueError):
-            am.moment_norm(ev, np.array([1.0 + 0j, 0.0]))
+            am.moment_norm_batch(ev, np.array([1.0 + 0j, 0.0]))
+
+    def test_batch_needs_samples(self):
+        ev = am.MomentNormEvaluator(am.cube(2), 2.0)
+        with pytest.raises(ValueError, match="BodyMonteCarlo"):
+            am.moment_norm_batch(ev, np.array([1.0 + 0j, 0.0]))
 
     def test_dimension_mismatch(self):
-        ev = am.MomentNormEvaluator(am.cube(2), 2.0, am.SphereQuadrature())
-        with pytest.raises(ValueError):
-            am.moment_norm(ev, np.array([1.0 + 0j, 0.0, 0.0]))
+        ev = am.MomentNormEvaluator(am.cube(2), 2.0, am.BodyMonteCarlo(4096, 1))
+        for route in (am.moment_norm_batch, am.moment_norm_sphere):
+            with pytest.raises(ValueError):
+                route(ev, np.array([1.0 + 0j, 0.0, 0.0]))
 
     def test_seed_changes_draws(self):
         v = np.array([[1.0 + 0.5j, -0.25 + 0j]])
@@ -144,20 +150,12 @@ class TestMomentNormSphere:
         oracle = quad(lambda t: abs(math.cos(t)) / max(abs(math.cos(t)), abs(math.sin(t))) ** 3,
                       0, 2 * math.pi, epsabs=1e-12, limit=200)[0]
         assert oracle == pytest.approx(6.0, abs=1e-9)
-        ev = am.MomentNormEvaluator(am.cube(2), 1.0, am.SphereQuadrature())
+        ev = am.MomentNormEvaluator(am.cube(2), 1.0)
         val, _ = am.moment_norm_sphere(ev, np.array([1.0 + 0j, 0.0]))
         assert val == pytest.approx(6.0, rel=1e-10)
 
-    def test_ball_routes_agree(self):
-        ev = am.MomentNormEvaluator(am.EuclideanBall(2), 2.0, am.SphereQuadrature())
-        rng = np.random.default_rng(8)
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        body_route, _ = am.moment_norm(ev, v)
-        sphere_route, _ = am.moment_norm_sphere(ev, v)
-        assert abs(body_route - sphere_route) < 1e-8
-
     def test_zero_vector(self):
-        ev = am.MomentNormEvaluator(am.cube(2), 1.0, am.SphereQuadrature())
+        ev = am.MomentNormEvaluator(am.cube(2), 1.0)
         assert am.moment_norm_sphere(ev, np.zeros(2, dtype=complex))[0] == 0.0
 
     @pytest.mark.parametrize("make_body", [
@@ -183,7 +181,7 @@ class TestNormAxiomsSampled:
         body = am.regular_hexagon()
         rng = np.random.default_rng(31)
         for p in (1.0, 2.0):
-            kernel_eval = am.MomentNormEvaluator(body, p, am.SphereQuadrature())
+            kernel_eval = am.MomentNormEvaluator(body, p)
             for _ in range(25):
                 z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
                 w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -218,7 +216,7 @@ class TestDualNorm:
         ws = rng.standard_normal((1000, 2))
         lhs = np.einsum("nk,nk->n", vs, ws)
         norms = kernel.norms_pow_p(vs.astype(complex))
-        duals = dual_norm_z1_batch(body, ws)
+        duals = am.dual_norm_z1(body, ws)
         assert np.all(lhs <= norms * duals * (1 + 2e-4) + 1e-6)
 
     def test_batch_matches_scalar(self):
@@ -227,8 +225,25 @@ class TestDualNorm:
         body = am.Ellipsoid.from_semi_axes([2.0, 1.0])
         ws = np.random.default_rng(13).standard_normal((5, 2))
         exact = np.sqrt(np.einsum("nk,nk->n", ws / [2.0, 1.0], ws / [2.0, 1.0])) / 8.0
-        assert am.dual_norm_z1(body, ws[0]) == pytest.approx(exact[0], rel=1e-6)
-        np.testing.assert_allclose(dual_norm_z1_batch(body, ws), exact, rtol=1e-6, atol=0.0)
+        single = am.dual_norm_z1(body, ws[0])
+        assert isinstance(single, float)
+        assert single == pytest.approx(exact[0], rel=1e-6)
+        batch = am.dual_norm_z1(body, ws)
+        np.testing.assert_allclose(batch, exact, rtol=1e-6, atol=0.0)
+        # one vector takes the batch's path
+        assert [am.dual_norm_z1(body, w) for w in ws] == list(batch)
+
+    def test_ellipsoid_3d_closed_form(self):
+        # K = A B with A = diag(2, 1, 1): ||v||_{1,K} = det(A) K_{1,3} |A v|,
+        # so the dual norm is |A^{-1} w| / (2 K_{1,3}); the 3-D scan and
+        # ascent are quoted to 1e-4
+        body = am.Ellipsoid.from_semi_axes([2.0, 1.0, 1.0])
+        ws = np.random.default_rng(1).standard_normal((2, 3))
+        exact = np.sqrt(np.einsum("nk,nk->n", ws / [2.0, 1.0, 1.0], ws / [2.0, 1.0, 1.0]))
+        exact /= 2.0 * am.kpn_constant(1.0, 3)
+        np.testing.assert_allclose(am.dual_norm_z1(body, ws), exact, rtol=1e-4, atol=0.0)
+        with pytest.raises(ValueError):
+            am.dual_norm_z1(am.EuclideanBall(4), np.ones(4))
 
     def test_dim1(self):
         # K = [-a, a]: ||v||_{1,K} = 2 a^2 |v|, dual = |w| / (2 a^2)
