@@ -235,8 +235,8 @@ class TestDualNorm:
 
     def test_ellipsoid_3d_closed_form(self):
         # K = A B with A = diag(2, 1, 1): ||v||_{1,K} = det(A) K_{1,3} |A v|,
-        # so the dual norm is |A^{-1} w| / (2 K_{1,3}); the 3-D scan and
-        # ascent are quoted to 1e-4
+        # so the dual norm is |A^{-1} w| / (2 K_{1,3}), reached to 1e-4 by
+        # the 3-D scan and ascent
         body = am.Ellipsoid.from_semi_axes([2.0, 1.0, 1.0])
         ws = np.random.default_rng(1).standard_normal((2, 3))
         exact = np.sqrt(np.einsum("nk,nk->n", ws / [2.0, 1.0, 1.0], ws / [2.0, 1.0, 1.0]))
