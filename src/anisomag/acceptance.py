@@ -61,16 +61,44 @@ def _fmt(x) -> str:
     return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
 
-def _study_rows(rows: list, name: str, rep) -> None:
-    """Append a study's points, its extrapolated limit and its target to ``rows``."""
-    for pt in rep.points:
-        rows.append((name, _fmt(pt.parameter), _fmt(pt.value), _fmt(pt.error)))
-    rows.append((name, "extrapolated", _fmt(rep.extrapolation.limit),
-                 _fmt(rep.extrapolation.limit_stderr)))
-    rows.append((name, "target", _fmt(rep.target), _fmt(rep.target_error)))
+def _studies(criterion: str, cases, run):
+    """``run(name, make())`` for each (name, make) case: the CSV rows, the
+    reports keyed "<criterion>_<name>" and the names of the failed studies."""
+    rows = [("body", "parameter", "value", "error")]
+    reports = {}
+    failures = []
+    for name, make in cases:
+        rep = run(name, make())
+        reports[f"{criterion}_{name}"] = rep
+        for pt in rep.points:
+            rows.append((name, _fmt(pt.parameter), _fmt(pt.value), _fmt(pt.error)))
+        rows.append((name, "extrapolated", _fmt(rep.extrapolation.limit),
+                     _fmt(rep.extrapolation.limit_stderr)))
+        rows.append((name, "target", _fmt(rep.target), _fmt(rep.target_error)))
+        if not rep.passed:
+            failures.append(name)
+    return rows, reports, failures
 
 
 # ---------------------------------------------------------------------------
+
+
+def id2_rows(body, p: float, count: int, samples: int, seed: int, sigmas: float,
+             *labels) -> list:
+    """Rows (index, montecarlo, sphere, mc_error, sphere_error, within) of
+    the id2 check on ``count`` random vectors: do the Monte Carlo and sphere
+    norms agree within ``sigmas`` combined errors?  Seeds derive from
+    ``seed``, "id2" or "id2-vectors", and ``labels``."""
+    ev = MomentNormEvaluator(body, p, BodyMonteCarlo(samples, derive_seed(seed, "id2", *labels)))
+    rng = np.random.default_rng(derive_seed(seed, "id2-vectors", *labels))
+    vs = rng.standard_normal((count, body.dim)) + 1j * rng.standard_normal((count, body.dim))
+    mc_vals, mc_errs = moment_norm_batch(ev, vs)
+    rows = []
+    for i, v in enumerate(vs):
+        sp_val, sp_err = moment_norm_sphere(ev, v)
+        ok = abs(mc_vals[i] - sp_val) <= sigmas * (mc_errs[i] + sp_err) + 1e-9
+        rows.append((i, _fmt(mc_vals[i]), _fmt(sp_val), _fmt(mc_errs[i]), _fmt(sp_err), int(ok)))
+    return rows
 
 
 def criterion_id2_agreement(seed: int = 0, threads: int = 1) -> CriterionResult:
@@ -83,21 +111,12 @@ def criterion_id2_agreement(seed: int = 0, threads: int = 1) -> CriterionResult:
     ]
     bodies_3d = [("ball3", EuclideanBall(3)), ("cube3", cube(3))]
     rows = [("body", "p", "index", "montecarlo", "sphere", "mc_error", "sphere_error", "within")]
-    failures = 0
-    total = 0
     for name, body in bodies_2d + bodies_3d:
         for p in (1.0, 2.0, 3.0):
-            ev_mc = MomentNormEvaluator(body, p, BodyMonteCarlo(65536, derive_seed(seed, "id2", name, p)))
-            rng = np.random.default_rng(derive_seed(seed, "id2-vectors", name, p))
-            vs = rng.standard_normal((100, body.dim)) + 1j * rng.standard_normal((100, body.dim))
-            mc_vals, mc_errs = moment_norm_batch(ev_mc, vs)
-            for i, v in enumerate(vs):
-                sp_val, sp_err = moment_norm_sphere(ev_mc, v)
-                ok = abs(mc_vals[i] - sp_val) <= 3.0 * (mc_errs[i] + sp_err) + 1e-9
-                failures += not ok
-                total += 1
-                rows.append((name, _fmt(p), i, _fmt(mc_vals[i]), _fmt(sp_val),
-                             _fmt(mc_errs[i]), _fmt(sp_err), int(ok)))
+            rows += [(name, _fmt(p)) + row
+                     for row in id2_rows(body, p, 100, 65536, seed, 3.0, name, p)]
+    total = len(rows) - 1
+    failures = sum(not row[-1] for row in rows[1:])
     return CriterionResult(
         "id2_agreement", failures == 0,
         f"{total - failures}/{total} vectors within 3 combined errors", rows)
@@ -153,16 +172,9 @@ def criterion_ludwig_bbm_limit(seed: int = 0, threads: int = 1) -> CriterionResu
     a = zero_potential(2)
     schedule = Schedule("s", (0.80, 0.88, 0.93, 0.96, 0.98, 0.99, 0.995))
     budget = IntegrationBudget(outer="tensor", resolution=48, sphere_nodes=64)
-    rows = [("body", "parameter", "value", "error")]
-    reports = {}
-    failures = []
-    for name, make in _STUDY_BODIES_3:
-        rep = run_study(u, a, make(), 2.0, "gagliardo", schedule, budget,
-                        seed=derive_seed(seed, "c3", name), tolerance=0.01, threads=threads)
-        reports[f"ludwig_bbm_limit_{name}"] = rep
-        _study_rows(rows, name, rep)
-        if not rep.passed:
-            failures.append(name)
+    rows, reports, failures = _studies("ludwig_bbm_limit", _STUDY_BODIES_3, lambda name, body: (
+        run_study(u, a, body, 2.0, "gagliardo", schedule, budget,
+                  seed=derive_seed(seed, "c3", name), tolerance=0.01, threads=threads)))
     # independent gaussian-moment oracle for the ball target: K_{2,2} * int |grad u|^2
     from scipy.integrate import quad
 
@@ -183,16 +195,9 @@ def criterion_nguyen_magnetic(seed: int = 0, threads: int = 1) -> CriterionResul
     """Threshold-functional limit matches the local magnetic energy within 2%."""
     u, a = _magnetic_setup()
     budget = IntegrationBudget(outer="montecarlo", samples=1024, sphere_nodes=96)
-    rows = [("body", "parameter", "value", "error")]
-    reports = {}
-    failures = []
-    for name, make in _STUDY_BODIES_3[:2]:
-        rep = run_study(u, a, make(), 2.0, "nguyen", None, budget,
-                        seed=derive_seed(seed, "c4", name), tolerance=0.02, threads=threads)
-        reports[f"nguyen_magnetic_{name}"] = rep
-        _study_rows(rows, name, rep)
-        if not rep.passed:
-            failures.append(name)
+    rows, reports, failures = _studies("nguyen_magnetic", _STUDY_BODIES_3[:2], lambda name, body: (
+        run_study(u, a, body, 2.0, "nguyen", None, budget,
+                  seed=derive_seed(seed, "c4", name), tolerance=0.02, threads=threads)))
     return CriterionResult("nguyen_magnetic", not failures,
                            "ball and square within 2%" if not failures else f"failed: {failures}",
                            rows, reports)
@@ -204,18 +209,9 @@ def criterion_bbm_magnetic(seed: int = 0, threads: int = 1) -> CriterionResult:
     u, a = _magnetic_setup()
     p = 2.0
     budget = IntegrationBudget(outer="tensor", resolution=64, sphere_nodes=96)
-    rows = [("body", "parameter", "value", "error")]
-    reports = {}
-    failures = []
-    for name, make in _STUDY_BODIES_3[:2]:
-        fam = ShrinkingUniformFamily(2, p)
-        rep = run_study(u, a, make(), p, "bbm", None, budget,
-                        seed=derive_seed(seed, "c5", name), tolerance=0.02,
-                        mollifier_family=fam, threads=threads)
-        reports[f"bbm_magnetic_{name}"] = rep
-        _study_rows(rows, name, rep)
-        if not rep.passed:
-            failures.append(name)
+    rows, reports, failures = _studies("bbm_magnetic", _STUDY_BODIES_3[:2], lambda name, body: (
+        run_study(u, a, body, p, "bbm", None, budget, seed=derive_seed(seed, "c5", name),
+                  tolerance=0.02, mollifier_family=ShrinkingUniformFamily(2, p), threads=threads)))
     # algebraic identity between code paths (zero potential)
     ug = gaussian(2)
     zero = zero_potential(2)
@@ -242,17 +238,13 @@ def criterion_bv_indicator(seed: int = 0, threads: int = 1) -> CriterionResult:
     zero = zero_potential(2)
     fam = ShrinkingUniformFamily(2, 1.0)
     budget = IntegrationBudget(outer="tensor", resolution=128, sphere_nodes=96)
-    rows = [("body", "parameter", "value", "error")]
-    reports = {}
-    failures = []
-    for name, make, target in (("disk", lambda: EuclideanBall(2), 16.0), ("cube", lambda: cube(2), 24.0)):
-        rep = run_study(ind, zero, make(), 1.0, "bbm", None, budget,
-                        seed=derive_seed(seed, "c6", name), tolerance=0.03,
-                        mollifier_family=fam, threads=threads)
-        reports[f"bv_indicator_{name}"] = rep
-        _study_rows(rows, name, rep)
-        if not rep.passed or abs(rep.target - target) > 1e-9:
-            failures.append(name)
+    cases = (("disk", lambda: EuclideanBall(2)), ("cube", lambda: cube(2)))
+    rows, reports, failures = _studies("bv_indicator", cases, lambda name, body: (
+        run_study(ind, zero, body, 1.0, "bbm", None, budget, seed=derive_seed(seed, "c6", name),
+                  tolerance=0.03, mollifier_family=fam, threads=threads)))
+    failures += [name for name, target in (("disk", 16.0), ("cube", 24.0))
+                 if abs(reports[f"bv_indicator_{name}"].target - target) > 1e-9
+                 and name not in failures]
     return CriterionResult("bv_indicator", not failures,
                            "perimeter targets 16 and 24 recovered within 3%" if not failures
                            else f"failed: {failures}", rows, reports)
@@ -358,7 +350,7 @@ def run_criteria(names=None, seed: int = 0, threads: int = 1):
     selected = list(CRITERIA) if not names else list(names)
     unknown = [n for n in selected if n not in CRITERIA]
     if unknown:
-        raise KeyError(f"unknown criteria: {unknown}")
+        raise ValueError(f"unknown criteria: {unknown}")
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(CRITERIA[n], seed, threads) for n in selected]

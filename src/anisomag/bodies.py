@@ -115,6 +115,12 @@ class Polytope:
         )
         return bool(inside[0]) if single else inside
 
+    def plane_distance(self, x) -> np.ndarray:
+        """Distance from each point of ``x`` (..., dim) to the nearest facet
+        hyperplane, min over f of |offset_f - n_f . x|."""
+        slack = self.offsets - np.einsum("...k,fk->...f", x, self.normals)
+        return np.abs(slack).min(axis=-1)
+
     def circumradius(self) -> float:
         verts = self.vertices
         if len(verts) == 0:

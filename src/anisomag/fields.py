@@ -282,7 +282,7 @@ def _bump_profile_deriv(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def mollify(u: ComplexField, m: int, angular_nodes: int = 128, radial_nodes: int = 32) -> ComplexField:
+def mollify(u: ComplexField, m: int, angular_nodes: int = 128) -> ComplexField:
     """Convolution of u with the standard bump scaled to radius 1/m.
 
     The mollifier is radial with unit mass; the result is smooth, its gradient
@@ -296,12 +296,12 @@ def mollify(u: ComplexField, m: int, angular_nodes: int = 128, radial_nodes: int
     ang = sphere_rule(dim, angular_nodes) if dim > 1 else sphere_rule(1)
     if u.region is not None:
         return _mollify_indicator(u, m, ang)
-    return _mollify_smooth(u, m, ang, radial_nodes)
+    return _mollify_smooth(u, m, ang)
 
 
-def _mollify_smooth(u: ComplexField, m: int, ang, radial_nodes: int) -> ComplexField:
+def _mollify_smooth(u: ComplexField, m: int, ang) -> ComplexField:
     dim = u.dim
-    xg, wg = np.polynomial.legendre.leggauss(radial_nodes)
+    xg, wg = np.polynomial.legendre.leggauss(32)  # the radial rule on [0, 1]
     rho = 0.5 * (xg + 1.0)
     w_rho = 0.5 * wg
     base = _bump_profile(rho) * rho ** (dim - 1) * w_rho
@@ -356,8 +356,7 @@ def _mollify_indicator(u: ComplexField, m: int, ang) -> ComplexField:
         return out.astype(complex) * (m / mass)
 
     def band(x):
-        slack = region.offsets[None, :] - np.einsum("...k,fk->...f", x, region.normals)
-        return np.abs(slack).min(axis=-1) <= 1.0 / m + 1e-12
+        return region.plane_distance(x) <= 1.0 / m + 1e-12
 
     return ComplexField(dim, ev, gr, u.support_radius + 1.0 / m, True,
                         f"mollified({u.name}, m={m})", gradient_band=band)

@@ -198,6 +198,16 @@ class IntegrationBudget:
     def __post_init__(self):
         if self.outer not in ("tensor", "montecarlo"):
             raise ValueError("outer scheme must be 'tensor' or 'montecarlo'")
+        if self.resolution < 1:
+            raise ValueError("resolution must be at least 1")
+        if self.samples < 2:
+            raise ValueError("samples must be at least 2: one sample has no standard error")
+        if self.sphere_nodes < 0:
+            raise ValueError("sphere_nodes must be non-negative (0 picks the default)")
+        if self.margin < 0:
+            raise ValueError("margin must be non-negative")
+        if self.scan_max_step is not None and self.scan_max_step <= 0:
+            raise ValueError("scan_max_step must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +374,7 @@ def _outer_integrate(values_fn, u, radius, budget, label, seed, chunk=_CHUNK):
                                     derive_seed(budget.seed, label, seed))
         weighted = _chunk_values(values_fn, pts, None, chunk) / rho
         mean = float(np.einsum("n->", weighted)) / len(weighted)
-        sem = (
-            float(np.std(weighted, ddof=1)) / math.sqrt(len(weighted))
-            if len(weighted) > 1
-            else 0.0
-        )
-        return mean, sem
+        return mean, float(np.std(weighted, ddof=1)) / math.sqrt(len(weighted))
     tg = trapezoid_grid(u.dim, radius, budget.resolution)
     live = np.einsum("nk,nk->n", tg.points, tg.points) <= radius**2
     return tg.integrate(_chunk_values(values_fn, tg.points, live, chunk))
@@ -762,8 +767,7 @@ def _bbm_indicator(u, spec, budget):
 
         def live(points):
             # contributions only from the band around the region boundary
-            slack = region.offsets[None, :] - np.einsum("nk,fk->nf", points, region.normals)
-            return np.abs(slack).min(axis=1) <= cut_max * 1.0000001
+            return region.plane_distance(points) <= cut_max * 1.0000001
     else:
         radius = u.support_radius + budget.margin
         h_cut = np.full(rule.size, radius + u.support_radius)
@@ -791,43 +795,39 @@ def _bbm_indicator(u, spec, budget):
         return np.einsum("cm,m->c", seg, plain_w)
 
     def values_fn(x_chunk):
-        c = len(x_chunk)
         t_lo, t_hi = region.ray_interval(x_chunk[:, None, :], rule.nodes[None, :, :])
         inside = region.contains(x_chunk)
-        # flatten all (x, sigma) rays; pieces are [0, a], [a, b], [b, cut],
-        # with 0 <= a <= b <= cut.  [0, a] adds nothing: outside the region
+        # the pieces of each (x, sigma) ray are [0, a], [a, b], [b, cut], with
+        # 0 <= a <= b <= cut.  [0, a] adds nothing: outside the region
         # u(x) = u(y) = 0 there, and inside a = 0
-        a_f = np.clip(t_lo, 0.0, h_cut).ravel()
-        b_f = np.maximum(np.clip(t_hi, 0.0, h_cut).ravel(), a_f)
-        cut_f = np.tile(h_cut, c)
-        x_rep = np.repeat(x_chunk, rule.size, axis=0)
-        s_rep = np.tile(rule.nodes, (c, 1))
-        in_rep = np.repeat(inside, rule.size)
-        g_rep = np.tile(g, c)
+        a_r = np.clip(t_lo, 0.0, h_cut)
+        b_r = np.maximum(np.clip(t_hi, 0.0, h_cut), a_r)
 
         def seg_value(lo, hi, uy_val):
-            """Integral over [lo, hi] of the radial piece where u(y) = uy_val."""
-            mask = hi > lo + 1e-300
-            out = np.zeros(len(lo))
-            if not mask.any():
+            """Integral over [lo, hi] of the radial piece where u(y) = uy_val,
+            on the (x, sigma) rays where the piece is not empty."""
+            ci, mi = np.nonzero(hi > lo + 1e-300)
+            out = np.zeros(lo.shape)
+            if len(ci) == 0:
                 return out
-            width = hi[mask] - lo[mask]
-            h = lo[mask][:, None] + width[:, None] * xi[None, :]
+            width = hi[ci, mi] - lo[ci, mi]
+            h = lo[ci, mi][:, None] + width[:, None] * xi[None, :]
             # rho_n(h g) / g * h^(N-2) for p = 1
-            gg = g_rep[mask][:, None]
+            gg = g[mi][:, None]
             base = family.rho(h * gg, n) / gg * h ** (dim - 2)
-            ux_val = in_rep[mask].astype(float)
+            ux_val = inside[ci].astype(float)
             if use_phase and uy_val == 1.0:
-                mid_pts = x_rep[mask][:, None, :] + 0.5 * h[:, :, None] * s_rep[mask][:, None, :]
-                rot = _phase(a, mid_pts, h, s_rep[mask], "brk,bk->br")
+                sig = rule.nodes[mi]
+                mid_pts = x_chunk[ci][:, None, :] + 0.5 * h[:, :, None] * sig[:, None, :]
+                rot = _phase(a, mid_pts, h, sig, "brk,bk->br")
                 diff_pow = scalar_mixed_modulus_pow(np.subtract(rot, ux_val[:, None], out=rot), 1.0)
             else:
                 diff_pow = np.broadcast_to(np.abs(uy_val - ux_val)[:, None], h.shape)
-            out[mask] = width * np.einsum("br,r->b", base * diff_pow, wxi)
+            out[ci, mi] = width * np.einsum("br,r->b", base * diff_pow, wxi)
             return out
 
-        total = seg_value(a_f, b_f, 1.0) + seg_value(b_f, cut_f, 0.0)
-        out = np.einsum("cm,m->c", total.reshape(c, rule.size), rule.weights)
+        total = seg_value(a_r, b_r, 1.0) + seg_value(b_r, np.broadcast_to(h_cut, b_r.shape), 0.0)
+        out = np.einsum("cm,m->c", total, rule.weights)
         if not shrinking:
             # closed-form tail beyond the truncation where u(y) = 0
             tail = family.tail_weight(h_cut * g, n) / g ** dim

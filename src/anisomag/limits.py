@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import functionals
 from .bodies import ConvexBody
 from .energy import GridSpec, anisotropic_perimeter, local_energy
 from .fields import ComplexField, MagneticPotential
@@ -25,9 +26,6 @@ from .functionals import (
     IntegrationBudget,
     Nguyen,
     ShrinkingUniformFamily,
-    bbm,
-    gagliardo,
-    nguyen,
 )
 from .seeding import derive_seed
 
@@ -275,6 +273,12 @@ def compare(extrapolation: Extrapolation, target: float, tolerance: float,
     return passed, diagnostics
 
 
+# functional kind -> (its FunctionalSpec kind class, its schedule kind).  The
+# functional itself is looked up by name in ``functionals`` at each call, so a
+# wrapper patched over ``functionals.gagliardo``, ``nguyen`` or ``bbm`` sees it.
+_KINDS = {"gagliardo": (Gagliardo, "s"), "nguyen": (Nguyen, "delta"), "bbm": (Bbm, "n")}
+
+
 def _point_budget(base: IntegrationBudget, t: float, t0: float,
                   indicator: bool) -> IntegrationBudget:
     """Budget growth along the schedule: MC samples like 1/t; tensor resolution
@@ -305,21 +309,23 @@ def run_study(
     Normalizations: the fractional value is multiplied by (1 - s); the
     threshold and mollified values are used as-is, but the mollified target is
     p times the local energy.  Indicator fields (p = 1) target the anisotropic
-    perimeter.
+    perimeter.  The schedule must be of the functional's kind: "s" for
+    gagliardo, "delta" for nguyen, "n" for bbm.
     """
-    if kind not in ("gagliardo", "nguyen", "bbm"):
-        raise ValueError("kind must be 'gagliardo', 'nguyen' or 'bbm'")
-    schedule = schedule or default_schedule(
-        {"gagliardo": "s", "nguyen": "delta", "bbm": "n"}[kind]
-    )
+    if kind not in _KINDS:
+        raise ValueError(f"unknown functional kind {kind!r}, not one of {list(_KINDS)}")
+    spec_class, schedule_kind = _KINDS[kind]
+    schedule = schedule or default_schedule(schedule_kind)
+    if schedule.kind != schedule_kind:
+        raise ValueError(f"a {kind} study needs a schedule of kind {schedule_kind!r}, "
+                         f"not {schedule.kind!r}")
     budget = budget or IntegrationBudget()
     if kind == "bbm" and mollifier_family is None:
         mollifier_family = ShrinkingUniformFamily(body.dim, p)
     indicator = not u.smooth
 
     if indicator:
-        if p != 1.0:
-            raise ValueError("indicator targets exist only at p = 1")
+        # the functional itself rejects an indicator at p != 1
         target_mode = "perimeter"
         target, target_error = anisotropic_perimeter(u.region, body), 0.0
     else:
@@ -335,19 +341,11 @@ def run_study(
         param, t = schedule.values[i], float(t_vals[i])
         pb = _point_budget(budget, t, t0, indicator)
         pb = replace(pb, seed=derive_seed(seed, "study", kind, i))
-        if kind == "gagliardo":
-            spec = FunctionalSpec(Gagliardo(float(param)), p, body, a)
-            raw, err = gagliardo(u, spec, pb, seed=i)
-            value, error = (1.0 - param) * raw, (1.0 - param) * err
-        elif kind == "nguyen":
-            spec = FunctionalSpec(Nguyen(float(param)), p, body, a)
-            raw, err = nguyen(u, spec, pb, seed=i)
-            value, error = raw, err
-        else:
-            spec = FunctionalSpec(Bbm(mollifier_family, int(param)), p, body, a)
-            raw, err = bbm(u, spec, pb, seed=i)
-            value, error = raw, err
-        return StudyPoint(float(param), t, float(value), float(error), float(raw))
+        args = (mollifier_family, int(param)) if kind == "bbm" else (float(param),)
+        spec = FunctionalSpec(spec_class(*args), p, body, a)
+        raw, err = getattr(functionals, kind)(u, spec, pb, seed=i)
+        scale = 1.0 - param if kind == "gagliardo" else 1.0
+        return StudyPoint(float(param), t, float(scale * raw), float(scale * err), float(raw))
 
     # schedule points are independent; results are assembled in schedule order
     # and each point's seed derives from its index, so the thread count can

@@ -135,7 +135,8 @@ def adapted_moment_rule(body: ConvexBody, v: np.ndarray, order: int = 32) -> Sph
     if dim == 1:
         return sphere_rule(1)
     if dim == 2:
-        breaks = list(body.facet_angles() if body.facet_angles() is not None else [])
+        angles = body.facet_angles()
+        breaks = [] if angles is None else list(angles)
         for part in (v.real, v.imag):
             norm = float(np.sqrt(part @ part))
             if norm > 0.0:

@@ -166,12 +166,7 @@ def sphere_monte_carlo(dim: int, n: int, seed: int) -> SphereRule:
     return SphereRule(dim, g, weights, f"mc({n})", coarse)
 
 
-def sphere_rule(
-    dim: int,
-    n: int = 0,
-    body: ConvexBody | None = None,
-    seed: int = 0,
-) -> SphereRule:
+def sphere_rule(dim: int, n: int = 0, body: ConvexBody | None = None) -> SphereRule:
     """Default rule for integrating gauge-weighted integrands on S^{dim-1}.
 
     ``n`` is the target node count (0 picks the per-dimension default).  When
@@ -191,5 +186,5 @@ def sphere_rule(
         n_polar = max(8, int(round(math.sqrt(n / 2.0))))
         return sphere_product(n_polar, 2 * n_polar)
     if dim == 4:
-        return sphere_monte_carlo(4, n or 32768, seed)
+        return sphere_monte_carlo(4, n or 32768, 0)
     raise ValueError("sphere rules implemented for dimensions 1 through 4")

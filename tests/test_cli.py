@@ -21,6 +21,14 @@ def write_config(path, payload):
     return str(path)
 
 
+def assert_config_error(out, *fragments):
+    """Exit 2 with one ``error:`` line on stderr, naming every fragment."""
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and len(out.stderr.splitlines()) == 1, out.stderr
+    for fragment in fragments:
+        assert fragment in out.stderr
+
+
 class TestNorms:
     def test_cube_gauge_table(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {
@@ -84,6 +92,13 @@ class TestNorms:
         assert out.returncode == 2
         assert "typo_key" in out.stderr
 
+    def test_invalid_body_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "schema_version": 1, "body": {"shape": "ball", "dim": 2, "radius": -1.0},
+            "p": 1.0, "vectors": [[1.0, 0.0]],
+        })
+        assert_config_error(run_cli("norms", "--config", cfg), "radius")
+
     def test_threads_option_exits_2(self, tmp_path):
         # norms runs on one thread; an option it would ignore is not accepted
         cfg = write_config(tmp_path / "cfg.json", {
@@ -125,6 +140,20 @@ class TestCheckId2:
         })
         out = run_cli("check-id2", "--config", cfg)
         assert out.returncode == 2
+
+    def test_zero_samples_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "schema_version": 1, "body": {"shape": "cube", "dim": 2}, "p": 2.0, "samples": 0,
+        })
+        assert_config_error(run_cli("check-id2", "--config", cfg), "samples")
+
+    def test_five_dimensional_body_exits_2(self, tmp_path):
+        # the sphere rules stop at N = 4
+        cfg = write_config(tmp_path / "cfg.json", {
+            "schema_version": 1, "body": {"shape": "ball", "dim": 5}, "p": 2.0, "count": 2,
+            "samples": 64,
+        })
+        assert_config_error(run_cli("check-id2", "--config", cfg))
 
 
 class TestLimitStudy:
@@ -202,6 +231,38 @@ class TestLimitStudy:
         out = run_cli("limit-study", "--config", cfg)
         assert out.returncode == 2
         assert f"budget: unknown keys {sorted(knobs)}" in out.stderr
+
+    def test_schedule_of_another_functional_exits_2(self, tmp_path):
+        # this fractional study along a delta schedule used to print PASS
+        payload = self.zero_study_config()
+        payload["field"] = {"family": "gaussian", "dim": 2}
+        payload["schedule"] = {"kind": "delta", "values": [0.1, 0.05, 0.02, 0.01]}
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        out = run_cli("limit-study", "--config", cfg, "--out", str(tmp_path))
+        assert_config_error(out, "gagliardo", "'s'", "'delta'")
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("budget, knob", [
+        ({"resolution": 0}, "resolution"),
+        ({"resolution": -4}, "resolution"),
+        ({"outer": "montecarlo", "samples": 0}, "samples"),
+        ({"margin": -1.0}, "margin"),
+    ])
+    def test_degenerate_budget_exits_2(self, tmp_path, budget, knob):
+        payload = self.zero_study_config()
+        payload["budget"] = budget
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        assert_config_error(run_cli("limit-study", "--config", cfg), knob)
+
+    def test_ludwig_table_without_an_n_exits_2(self, tmp_path):
+        # the s_values table has no entry for n = 16 or 32: LudwigFamily.s_value
+        # raises a TypeError, which must stay a configuration error
+        payload = self.zero_study_config()
+        payload["functional"] = {"kind": "bbm"}
+        payload["mollifier"] = {"family": "ludwig", "s_values": {"4": 0.75, "8": 0.875}}
+        payload["schedule"] = {"kind": "n", "values": [4, 8, 16, 32]}
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        assert_config_error(run_cli("limit-study", "--config", cfg))
 
     def test_seed_changes_digits_not_verdict(self, tmp_path):
         payload = {

@@ -79,6 +79,30 @@ class TestSpecValidation:
             am.gagliardo(ind, am.FunctionalSpec(am.Gagliardo(0.5), 1.0, ball, zero), mc)
 
 
+class TestBudgetValidation:
+    # each of these used to crash deep inside an evaluation (ZeroDivisionError
+    # for resolution 0, or for 0 Monte Carlo samples; a numpy error for a
+    # negative resolution), report a zero standard error from one sample, or
+    # run silently on a domain smaller than the field's support (margin < 0)
+    @pytest.mark.parametrize("knob, value, message", [
+        ("resolution", 0, "resolution"),
+        ("resolution", -4, "resolution"),
+        ("samples", 0, "samples"),
+        ("samples", 1, "samples"),
+        ("sphere_nodes", -1, "sphere_nodes"),
+        ("margin", -1.0, "margin"),
+        ("scan_max_step", 0.0, "scan_max_step"),
+        ("scan_max_step", -0.1, "scan_max_step"),
+    ])
+    def test_degenerate_values_rejected(self, knob, value, message):
+        with pytest.raises(ValueError, match=message):
+            am.IntegrationBudget(**{knob: value})
+
+    def test_smallest_valid_values_accepted(self):
+        am.IntegrationBudget(resolution=1, samples=2, sphere_nodes=0, margin=0.0,
+                             scan_max_step=1e-3)
+
+
 class TestMollifierFamilies:
     def test_normalization_closed_form(self):
         lud = am.LudwigFamily(2, 2.0)
@@ -372,6 +396,13 @@ class TestCertifiedScan:
         assert counts[0] <= 0.25 * counts[1]
 
 
+def _scaled_body(name, scale):
+    """The ball or the square [-1, 1]^2 scaled by ``scale``."""
+    if name == "ball":
+        return am.EuclideanBall(2, scale)
+    return am.SymmetricPolytope([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [scale] * 4)
+
+
 class TestNguyenIdentities:
     @settings(max_examples=6)
     @given(name=st.sampled_from(["ball", "square"]), p=st.sampled_from([1.0, 1.5, 2.0]),
@@ -379,15 +410,13 @@ class TestNguyenIdentities:
     def test_scaling_identity(self, name, p, lam):
         # gauge_{lam K} = gauge_K / lam and the kernel is 1/gauge^(N+p), so
         # nguyen(lam K) = lam^(N+p) nguyen(K) for the same scan
-        make = {"ball": lambda s: am.EuclideanBall(2, s),
-                "square": lambda s: am.SymmetricPolytope(
-                    [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [s] * 4)}[name]
         u = am.modulated_gaussian(2, [1.0, 0.5])
         a = am.rotational_potential(0.8)
         budget = am.IntegrationBudget(outer="tensor", resolution=12, sphere_nodes=32)
 
         def value(scale):
-            return am.nguyen(u, am.FunctionalSpec(am.Nguyen(0.05), p, make(scale), a), budget)[0]
+            return am.nguyen(u, am.FunctionalSpec(am.Nguyen(0.05), p, _scaled_body(name, scale), a),
+                             budget)[0]
 
         assert value(lam) == pytest.approx(lam ** (2 + p) * value(1.0), rel=1e-12, abs=0.0)
 
@@ -418,6 +447,68 @@ class TestNguyenIdentities:
         moved = am.nguyen(v, am.FunctionalSpec(am.Nguyen(0.05), 2.0, ball,
                                                am.linear_potential(rot + sym)), budget)[0]
         assert moved == pytest.approx(base, rel=1e-12, abs=0.0)
+
+
+class TestBbmIdentities:
+    @settings(max_examples=24)
+    @given(ludwig=st.booleans(), name=st.sampled_from(["ball", "square"]),
+           smooth=st.booleans(), magnetic=st.booleans(),
+           outer=st.sampled_from(["tensor", "montecarlo"]), p=st.sampled_from([1.0, 1.5, 2.0]),
+           lam=st.sampled_from([0.5, 2.0]), n=st.sampled_from([2, 4, 8]))
+    def test_scaling_identity(self, ludwig, name, smooth, magnetic, outer, p, lam, n):
+        # gauge_{lam K} = gauge_K / lam.  The Ludwig kernel is the power
+        # gauge^-(N + p s_n), so bbm(lam K) = lam^(N + p s_n) bbm(K); the
+        # shrinking family has rho_n(r / lam) = lam^N rho_(n/lam)(r), so
+        # bbm_n(lam K) = lam^(N+p) bbm_(n/lam)(K).  A power of two scales every
+        # gauge, cut-off and radial node exactly, so both sides integrate on
+        # the same nodes and differ by rounding only
+        if not smooth:
+            p, outer = 1.0, "tensor"  # indicators: p = 1, on midpoint grids
+        u = am.modulated_gaussian(2, [1.0, 0.5]) if smooth else am.indicator(am.unit_square())
+        a = am.rotational_potential(0.8) if magnetic else am.zero_potential(2)
+        family = am.LudwigFamily(2, p) if ludwig else am.ShrinkingUniformFamily(2, p)
+        budget = am.IntegrationBudget(outer=outer, resolution=12, samples=64, sphere_nodes=32)
+
+        def value(scale, index):
+            spec = am.FunctionalSpec(am.Bbm(family, index), p, _scaled_body(name, scale), a)
+            return am.bbm(u, spec, budget)[0]
+
+        if ludwig:
+            expected = lam ** (2 + p * family.s_value(n)) * value(1.0, n)
+        else:
+            expected = lam ** (2 + p) * value(1.0, int(n / lam))
+        assert value(lam, n) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=8)
+    @given(q=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), ludwig=st.booleans(),
+           magnetic=st.booleans(), outer=st.sampled_from(["tensor", "montecarlo"]))
+    def test_gauge_covariance(self, q, ludwig, magnetic, outer):
+        # u -> exp(i phi) u, A -> A + grad phi with phi(x) = x.Qx / 2, as in
+        # the nguyen test: every kernel difference keeps its modulus at p = 2.
+        # Both potentials are linear, so both sides take the magnetic path
+        sym = np.array([[q[0], q[1]], [q[1], q[2]]])
+        rot = np.array([[0.0, -0.5], [0.5, 0.0]]) if magnetic else np.zeros((2, 2))
+        u = am.gaussian(2)
+
+        def gauged(x):
+            return np.exp(0.5j * np.einsum("...k,kl,...l->...", x, sym, x)) * u.evaluate(x)
+
+        v = am.ComplexField(2, gauged, None, u.support_radius, True, "gauged gaussian")
+        family = am.LudwigFamily(2, 2.0) if ludwig else am.ShrinkingUniformFamily(2, 2.0)
+        budget = am.IntegrationBudget(outer=outer, resolution=12, samples=64, sphere_nodes=32)
+
+        def value(field, matrix):
+            spec = am.FunctionalSpec(am.Bbm(family, 4), 2.0, am.EuclideanBall(2),
+                                     am.linear_potential(matrix))
+            return am.bbm(field, spec, budget)[0]
+
+        # The Ludwig family's graded radial rule starts at 1e-7 h_max: there
+        # |Psi(x, y) - u(x)| is about 1e-7 of the values it is the difference
+        # of, so the two sides' differently rounded phases cost it about 7
+        # digits.  The shrinking family's first node sits at about 1/100 of
+        # its support, which costs about 2.
+        rel = 1e-10 if ludwig else 1e-12
+        assert value(v, rot + sym) == pytest.approx(value(u, rot), rel=rel, abs=0.0)
 
 
 class TestBodyMonotonicity:

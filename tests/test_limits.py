@@ -177,6 +177,16 @@ class TestRunStudy:
             am.run_study(am.indicator(am.unit_square()), am.zero_potential(2),
                          am.EuclideanBall(2), 1.0, "bbm", None, budget)
 
+    def test_schedule_of_another_functional_rejected(self):
+        # a fractional study along a delta schedule used to run, and its fit
+        # error widened the pass band enough to print PASS at a gap of 16000%
+        schedule = am.Schedule("delta", (0.1, 0.05, 0.02, 0.01))
+        with pytest.raises(ValueError, match="gagliardo.*'s'.*'delta'"):
+            am.run_study(am.gaussian(2), am.zero_potential(2), am.EuclideanBall(2), 2.0,
+                         "gagliardo", schedule,
+                         am.IntegrationBudget(outer="tensor", resolution=8, sphere_nodes=8),
+                         target_grid=am.GridSpec(resolution=16))
+
     def test_threads_do_not_change_results(self):
         u = am.gaussian(2)
         zero = am.zero_potential(2)
