@@ -155,7 +155,11 @@ def parse_mollifier(obj: dict, dim: int, p: float):
         s_map = None
         if "s_values" in obj:
             table = {int(k): float(v) for k, v in obj["s_values"].items()}
-            s_map = table.get
+
+            def s_map(n):
+                if n not in table:
+                    raise ConfigError(f"mollifier: s_values has no entry for n = {n}")
+                return table[n]
         return LudwigFamily(dim, p, s_map)
     raise ConfigError(f"mollifier: unknown family {obj['family']!r}")
 
@@ -180,15 +184,6 @@ def _write_csv(path: Path, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerows(rows)
-
-
-def _out_dir(args) -> Path | None:
-    if args.out is None:
-        return None
-    out = Path(args.out)
-    if not out.exists():
-        raise ConfigError(f"output directory does not exist: {out}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +217,8 @@ def cmd_norms(args) -> int:
                                 for c in v) + "]"
         print(f"{label:<24} {gauge:>12.6g} {val:>14.8g} {err:>12.3g}")
         rows.append((label, repr(float(gauge)), repr(float(val)), repr(float(err))))
-    out = _out_dir(args)
-    if out is not None:
-        _write_csv(out / "norms.csv", rows)
+    if args.out is not None:
+        _write_csv(args.out / "norms.csv", rows)
     return 0
 
 
@@ -239,9 +233,8 @@ def cmd_check_id2(args) -> int:
     sigmas = float(cfg.get("tolerance_sigmas", 3.0))
     rows = acc.id2_rows(body, float(cfg["p"]), count, int(cfg.get("samples", 65536)), seed,
                         sigmas)
-    out = _out_dir(args)
-    if out is not None:
-        _write_csv(out / "check_id2.csv",
+    if args.out is not None:
+        _write_csv(args.out / "check_id2.csv",
                    [("index", "montecarlo", "sphere", "mc_error", "sphere_error", "within")] + rows)
     failures = sum(not row[-1] for row in rows)
     print(f"identity check: {count - failures}/{count} vectors within "
@@ -271,11 +264,10 @@ def cmd_limit_study(args) -> int:
                                  body.dim, p)
     report = run_study(u, a, body, p, kind, schedule, budget, seed=seed, tolerance=tolerance,
                        mollifier_family=family, threads=args.threads)
-    out = _out_dir(args)
-    if out is not None:
-        (out / "report.json").write_text(report.to_json() + "\n")
-        report.write_points_csv(out / "points.csv")
-        report.write_plot_dat(out / "plot.dat")
+    if args.out is not None:
+        (args.out / "report.json").write_text(report.to_json() + "\n")
+        report.write_points_csv(args.out / "points.csv")
+        report.write_plot_dat(args.out / "plot.dat")
     ex = report.extrapolation
     print(f"{kind} study on {report.study['body']}: limit {ex.limit:.8g} "
           f"(target {report.target:.8g}, gap {report.relative_gap:.2%}, "
@@ -290,21 +282,19 @@ def cmd_perimeter(args) -> int:
     body = parse_body(cfg["body"])
     value = anisotropic_perimeter(region, body)
     print(f"anisotropic perimeter: {value!r}")
-    out = _out_dir(args)
-    if out is not None:
-        _write_csv(out / "perimeter.csv", [("perimeter",), (repr(float(value)),)])
+    if args.out is not None:
+        _write_csv(args.out / "perimeter.csv", [("perimeter",), (repr(float(value)),)])
     return 0
 
 
 def cmd_acceptance(args) -> int:
     names = args.only.split(",") if args.only else None
     results = acc.run_criteria(names, seed=args.seed or 0, threads=args.threads)
-    out = _out_dir(args)
-    if out is not None:
+    if args.out is not None:
         for res in results:
-            _write_csv(out / f"{res.name}.csv", res.rows)
+            _write_csv(args.out / f"{res.name}.csv", res.rows)
             for rep_name, rep in res.reports.items():
-                (out / f"{rep_name}.report.json").write_text(rep.to_json() + "\n")
+                (args.out / f"{rep_name}.report.json").write_text(rep.to_json() + "\n")
     if args.json:
         payload = {
             "seed": args.seed or 0,
@@ -331,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # each subcommand registers only the options it reads
     def common(p, *options):
-        p.add_argument("--out", default=None, help="output directory (must exist)")
+        p.add_argument("--out", type=Path, default=None, help="output directory (must exist)")
         if "--seed" in options:
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if "--threads" in options:
@@ -373,6 +363,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.out is not None and not args.out.exists():  # before any work
+            raise ConfigError(f"output directory does not exist: {args.out}")
         return args.func(args)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,15 +8,15 @@ the direction sigma, and a radial integral in h along the ray y = x + h*sigma
   flattens the endpoint singularity; the far tail where u(y) vanishes is
   added in closed form.
 * threshold functional: the superlevel set of the kernel difference is
-  located by bracketing + bisection on a graded scan grid, then h^(-1-p) is
-  integrated exactly over the resulting intervals.  The scan is certified
-  coarse to fine: it evaluates every 8th scan node (and the last), and a
-  Lipschitz bound on f(h) = |Psi(x, x + h sigma) - u(x)|_p, built from the
-  field's envelope and the potential's Lipschitz constant, settles most cells
-  between two of them without evaluating their inner nodes.  Only the cells
-  the bound leaves open are scanned node by node, in the layout of the full
-  scan, so every crossing, and every value, is the one the full scan finds.
-  A field without an envelope is scanned node by node.
+  bracketed on a graded scan grid, each crossing is located by Illinois steps
+  from the scan's values, then h^(-1-p) is integrated exactly over the
+  resulting intervals.  The scan is certified coarse to fine: it evaluates
+  every 32nd scan node (and the last), and a Lipschitz bound on f(h) =
+  |Psi(x, x + h sigma) - u(x)|_p, built from the field's envelope and the
+  potential's Lipschitz constant, settles most cells between two of them.
+  A cell the bound leaves open is split at its middle scan node until it is
+  settled or one scan cell wide, so every crossing, and every value, is the
+  one the node-by-node scan finds, as for a field without an envelope.
 * mollified (BBM) functional: smooth radial integrand on the mollifier
   support; for polytope indicators the ray/region intersection makes the
   radial pieces explicit.
@@ -228,17 +228,17 @@ _BLOCK_ELEMENTS = 12288
 # points per call of a smooth integrand's values_fn
 _CHUNK = 32
 # the threshold functional finds the crossings of _CHUNK * _RAY_BATCH_CHUNKS
-# points before bisecting them, _BLOCK_ELEMENTS rays at a time, so its
-# bisection blocks are full; this changes no value either
+# points before solving for them, _BLOCK_ELEMENTS rays at a time, so its
+# root-finding blocks are full; this changes no value either
 _RAY_BATCH_CHUNKS = 8
-# the threshold scan evaluates every _SCAN_STRIDE-th scan node first, and the
-# nodes in between only in the cells its Lipschitz certificate leaves open
-_SCAN_STRIDE = 8
+# the threshold scan evaluates every _SCAN_STRIDE-th scan node first, and
+# splits each cell its Lipschitz certificate leaves open at its middle node
+_SCAN_STRIDE = 32
 # the threshold scan grows geometrically from _SCAN_MIN_FACTOR * h_max, and
-# each crossing is bisected _BISECTION_ITERS times
+# each crossing takes at most _ROOT_MAX_ITERS Illinois steps
 _SCAN_RATIO = 1.05
 _SCAN_MIN_FACTOR = 1e-6
-_BISECTION_ITERS = 48
+_ROOT_MAX_ITERS = 64
 # Gauss-Legendre order of the radial panels; the fractional seminorm's panels
 # start at _RADIAL_FIRST_BREAK * h_max and grow by _RADIAL_PANEL_RATIO
 _RADIAL_ORDER = 12
@@ -496,6 +496,34 @@ def _scan_grid(h_max: float, max_step: float) -> np.ndarray:
     return np.asarray(pts)
 
 
+def _illinois(residual, lo, hi, r_lo, r_hi, tol):
+    """Root of residual(rays, h) in [lo, hi] on each ray by Illinois steps
+    (Dowell & Jarratt, BIT 11, 1971); r_lo and r_hi, the residuals at the
+    ends, are positive at one end only.  A secant step not strictly inside
+    the bracket is its midpoint.  A ray's root is its first iterate with a
+    residual of at most ``tol`` in modulus or a bracket of at most 4 ulp,
+    else its last; a ray that stops leaves the active set."""
+    lo, hi, r_lo, r_hi = (np.array(v, dtype=float) for v in (lo, hi, r_lo, r_hi))
+    rays, roots = np.arange(len(lo)), np.empty(len(lo))
+    last = np.zeros(len(lo), dtype=bool)  # the previous step moved the upper end
+    for step in range(_ROOT_MAX_ITERS):
+        x = lo - r_lo * (hi - lo) / (r_hi - r_lo)
+        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+        r = residual(rays, x)
+        upper = (r > 0.0) == (r_hi > 0.0)
+        # the same end moves twice running: halve the residual kept at the other
+        again = (upper == last) & (step > 0)
+        r_lo = np.where(upper, np.where(again, 0.5 * r_lo, r_lo), r)
+        r_hi = np.where(upper, r, np.where(again, 0.5 * r_hi, r_hi))
+        lo, hi, last = np.where(upper, lo, x), np.where(upper, x, hi), upper
+        roots[rays] = x
+        done = (np.abs(r) <= tol) | (hi - lo <= 4.0 * np.spacing(hi))
+        rays, lo, hi, r_lo, r_hi, last = (v[~done] for v in (rays, lo, hi, r_lo, r_hi, last))
+        if not len(rays):
+            break
+    return roots
+
+
 def _radial_profile(u: ComplexField):
     """Max of |u| on probe circles, used for domain and proposal sizing."""
     radii = np.linspace(0.0, u.support_radius, 240)[1:]
@@ -552,60 +580,47 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
     if max_step is None:
         amax = a.max_norm(radius + 1.0)
         max_step = min(0.5, math.pi / (4.0 * amax)) if amax > 1e-12 else 0.5
-    scan = _scan_grid(h_max, max_step)
+    edges = np.concatenate([[0.0], _scan_grid(h_max, max_step)])
     use_phase = not a.is_zero
     stride = _SCAN_STRIDE if u.envelope is not None else 1
-    coarse = np.arange(0, len(scan), stride)
-    if coarse[-1] != len(scan) - 1:
-        coarse = np.append(coarse, len(scan) - 1)
-    # scan indices inside each coarse cell, (stride - 1, cells); a short last
-    # cell repeats its last inner node, and a cell without inner nodes is
-    # never opened
-    inner = np.minimum(coarse[None, :-1] + np.arange(1, stride)[:, None], coarse[None, 1:] - 1)
-    has_inner = np.diff(coarse) > 1
-    h_inner = scan[inner]
-    # the scan index after each step across a cell: its inner nodes, then its right end
-    step_to = np.concatenate([inner, coarse[None, 1:]])
-    h_coarse = scan[coarse]
-    h_lo, h_hi = h_coarse[:-1], h_coarse[1:]
+    # the scan nodes evaluated first, as indices of ``edges``: h = 0 (never
+    # fires), every stride-th scan node and the last one, at h_max, whose
+    # state persists to infinity (the difference there is |u(x)|_p)
+    nodes = np.unique(np.r_[0, np.arange(1, len(edges), stride), len(edges) - 1])
+    h_coarse = edges[nodes[1:]]
+    wide = np.diff(nodes) > 1
     steps = _ray_steps(h_coarse, rule.nodes)
     half_steps = _ray_steps(0.5 * h_coarse, rule.nodes) if use_phase else None
-    edges = np.concatenate([[0.0], scan])
     delta_pow = delta**p
     m_count = rule.size
     # Along a ray |d/dh Psi(x, x + h sigma)| <= |grad u(y)| + (|A(0)| + Lip_A
     # (|x| + h)) |u(y)|, and c_p turns that Euclidean bound into one for the
     # mixed modulus |.|_p; times the cell width it bounds |f_a - f| + |f - f_b|
-    c_width = max(1.0, 2.0 ** (1.0 / p - 0.5)) * (h_hi - h_lo)
+    c_p = max(1.0, 2.0 ** (1.0 / p - 0.5))
     a0 = float(np.linalg.norm(a.evaluate(np.zeros((1, dim))))) if use_phase else 0.0
     lip_a = a.lipschitz_constant if use_phase else 0.0
 
-    def open_cells(x, sig, gpow):
-        """(point, direction, cell) of every coarse cell whose Lipschitz
-        certificate does not decide the threshold state, in C order."""
-        f = gpow ** (1.0 / p)
+    def certified(xs, x2, lo, hi, f_lo, f_hi):
+        """Whether the Lipschitz bound on f(h) = gpow(h)^(1/p) decides the
+        threshold state on the whole cell [edges[lo], edges[hi]] of the ray
+        with x.sigma = ``xs`` and |x|^2 = ``x2``; arguments broadcast."""
+        h_lo, h_hi = edges[lo], edges[hi]
         # distance from 0 to the segment x + h sigma, h in [h_lo, h_hi]
         # (sigma is a unit vector)
-        xs = np.einsum("ck,mk->cm", x, sig)[:, :, None]
-        x2 = np.einsum("ck,ck->c", x, x)[:, None, None]
         along = np.minimum(np.maximum(h_lo + xs, 0.0), h_hi + xs)
-        r = np.sqrt(np.maximum(x2 - xs * xs, 0.0) + along * along)
-        mag, grad = u.envelope(r)
+        mag, grad = u.envelope(np.sqrt(np.maximum(x2 - xs * xs, 0.0) + along * along))
         if use_phase:
             grad = grad + (a0 + lip_a * (np.sqrt(x2) + h_hi)) * mag
         # the cell fires everywhere when (f_a + f_b)/2 - L w/2 > delta, and
         # nowhere when (f_a + f_b)/2 + L w/2 < delta; the 1e-9 margin covers
         # the rounding of f and of gpow > delta^p at the inner nodes, and a
         # NaN leaves the cell open
-        decided = np.abs(f[:, :, :-1] + f[:, :, 1:] - 2.0 * delta) > c_width * grad + 2e-9 * delta
-        return np.nonzero(~decided & has_inner)
+        return np.abs(f_lo + f_hi - 2.0 * delta) > c_p * (h_hi - h_lo) * grad + 2e-9 * delta
 
-    def inner_fires(x, ux, sig, ci, mi, ji):
-        """Threshold states on the inner scan nodes of the given cells,
-        (stride - 1, cells).  The points are stored plane by plane with the
-        long axis last, like those of _ray_points, and each is the same sum
-        x + (h sigma), so every value is the one the full scan computes."""
-        h = h_inner.take(ji, axis=1)
+    def node_pow(x, ux, sig, ci, mi, h):
+        """gpow at h[b] on the ray (x[ci[b]], sig[mi[b]]): (1, b, N) points
+        stored by plane, each the sum x + (h sigma) the full scan forms."""
+        h = h[None]
         dirs = sig.T.take(mi, axis=1)[:, None]
         base = x.T.take(ci, axis=1)[:, None]
 
@@ -615,76 +630,82 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
 
         mid = points(0.5 * h) if use_phase else None
         return _kernel_diff_pow(u, a, ux.take(ci), points(h), mid, h, dirs[:, 0], "hbk,kb->hb",
-                                p) > delta_pow
+                                p)[0]
 
     def crossings(x, ux, dirs):
-        """(point, direction, scan cell, rising) of every threshold crossing
-        in one grid block, in (point, direction, cell) order; directions
-        count from the start of the slice."""
+        """(point, direction, index of ``edges`` after the flip, gpow at both
+        ends of its scan cell) of every crossing in one grid block, in that
+        order; directions count from the start of the slice.  A cell whose
+        ends agree is settled if certified, and any other is split at its
+        middle scan node until it is one scan cell wide."""
         half = half_steps[:, dirs] if use_phase else None
         sig = rule.nodes[dirs]
         gpow, _ = _psi_diff_pow(u, a, x, ux, h_coarse, sig, steps[:, dirs], half, p)
-        # prepend h = 0 (never fires); the last scan node sits at h_max where
-        # the difference equals |u(x)|_p, so the state there persists to infinity
+        gpow = np.concatenate([np.zeros(gpow.shape[:2] + (1,)), gpow], axis=2)
+        f = gpow ** (1.0 / p)
+        xs, x2 = np.einsum("ck,mk->cm", x, sig), np.einsum("ck,ck->c", x, x)
         fires = gpow > delta_pow
-        state = np.concatenate([np.zeros(fires.shape[:2] + (1,), dtype=bool), fires], axis=2)
-        flips = state[:, :, 1:] != state[:, :, :-1]  # into coarse node j, from the one before
+        settled = fires[:, :, 1:] == fires[:, :, :-1]
         if stride > 1:
-            # a certified cell keeps one state throughout; an open one is
-            # scanned node by node, and its flips replace the coarse one
-            oc, om, oj = open_cells(x, sig, gpow)
-            states = np.empty((stride + 1, len(oc)), dtype=bool)
-            states[0], states[-1] = state[oc, om, oj + 1], state[oc, om, oj + 2]
-            cells_per_block = _BLOCK_ELEMENTS // (stride - 1)
-            for start in range(0, len(oc), cells_per_block):
-                b = slice(start, start + cells_per_block)
-                states[1:-1, b] = inner_fires(x, ux, sig, oc[b], om[b], oj[b])
-            flips[oc, om, oj + 1] = False
-            step, cell = np.nonzero(states[1:] != states[:-1])
-        # flips are sparse: the flat search is much faster than a 3-D nonzero
-        ci, mi, ji = np.unravel_index(np.flatnonzero(flips), flips.shape)
-        ki, rising = coarse[ji], ~state[ci, mi, ji]  # rising: crossing from below
-        if stride > 1 and len(cell):
-            ci = np.concatenate([ci, oc[cell]])
-            mi = np.concatenate([mi, om[cell]])
-            ki = np.concatenate([ki, step_to[step, oj[cell]]])
-            rising = np.concatenate([rising, ~states[step, cell]])
-            order = np.argsort((ci * len(sig) + mi) * len(scan) + ki)
-            ci, mi, ki, rising = ci[order], mi[order], ki[order], rising[order]
-        return ci, mi, ki, rising
-
-    def bisect(x_rays, ux_rays, s_rays, lo, hi, rising):
-        """Crossing radius on each ray, from its bracketing scan cell [lo, hi]."""
-        for _ in range(_BISECTION_ITERS):
-            mid = 0.5 * (lo + hi)
-            y = x_rays + mid[:, None] * s_rays
-            half = x_rays + (0.5 * mid)[:, None] * s_rays if use_phase else None
-            above = _kernel_diff_pow(u, a, ux_rays, y, half, mid, s_rays, "bk,bk->b", p) > delta_pow
-            # mid already past the flip: tighten the upper end, else the lower
-            on_far_side = above == rising
-            np.copyto(hi, mid, where=on_far_side)
-            np.copyto(lo, mid, where=~on_far_side)
-        return 0.5 * (lo + hi)
+            settled &= ~wide | certified(xs[:, :, None], x2[:, None, None], nodes[:-1],
+                                         nodes[1:], f[:, :, :-1], f[:, :, 1:])
+        # the cells left are sparse, so a flat search beats a 3-D nonzero; they
+        # are kept as columns (point, direction, lo, hi), with the (gpow, gpow,
+        # f, f) of their ends, and each one scan cell wide flips
+        ci, mi, ji = np.unravel_index(np.flatnonzero(~settled), settled.shape)
+        cells = np.stack([ci, mi, nodes[ji], nodes[ji + 1]])
+        ends = np.stack([gpow[ci, mi, ji], gpow[ci, mi, ji + 1], f[ci, mi, ji], f[ci, mi, ji + 1]])
+        found = []
+        while True:
+            one = cells[3] - cells[2] == 1
+            found.append((cells[:, one], ends[:2, one]))
+            cells, ends = cells[:, ~one], ends[:, ~one]
+            if not cells.shape[1]:
+                break
+            ci, mi, lo, hi = cells
+            n, split = len(ci), (lo + hi) // 2
+            g_split = np.empty(n)
+            for start in range(0, n, _BLOCK_ELEMENTS):
+                b = slice(start, start + _BLOCK_ELEMENTS)
+                g_split[b] = node_pow(x, ux, sig, ci[b], mi[b], edges[split[b]])
+            cells, ends = np.tile(cells, 2), np.tile(ends, 2)
+            cells[3, :n] = cells[2, n:] = split
+            ends[1, :n] = ends[0, n:] = g_split
+            ends[3, :n] = ends[2, n:] = g_split ** (1.0 / p)
+            ci, mi, lo, hi = cells
+            keep = (ends[0] > delta_pow) != (ends[1] > delta_pow)
+            keep |= (hi - lo > 1) & ~certified(xs[ci, mi], x2[ci], lo, hi, ends[2], ends[3])
+            cells, ends = cells[:, keep], ends[:, keep]
+        (ci, mi, _, ki), (g_lo, g_hi) = (np.concatenate(col, axis=1) for col in zip(*found))
+        order = np.argsort((ci * len(sig) + mi) * len(edges) + ki)
+        return ci[order], mi[order], ki[order], g_lo[order], g_hi[order]
 
     def values_fn(x_batch):
         ux = u.evaluate(x_batch)
         parts = []
-        for pts, dirs in _grid_blocks(len(x_batch), m_count, len(coarse)):
-            ci, mi, ki, rising = crossings(x_batch[pts], ux[pts], dirs)
-            parts.append((ci + pts.start, mi + dirs.start, ki, rising))
-        ci, mi, ki, rising = (np.concatenate(col) for col in zip(*parts))
-        c = len(x_batch)
-        if len(ci) == 0:
-            return np.zeros(c)
+        for pts, dirs in _grid_blocks(len(x_batch), m_count, len(h_coarse)):
+            ci, mi, ki, g_lo, g_hi = crossings(x_batch[pts], ux[pts], dirs)
+            parts.append((ci + pts.start, mi + dirs.start, ki, g_lo, g_hi))
+        ci, mi, ki, g_lo, g_hi = (np.concatenate(col) for col in zip(*parts))
         crossing = np.empty(len(ci))
         for start in range(0, len(ci), _BLOCK_ELEMENTS):
             rays = slice(start, start + _BLOCK_ELEMENTS)
             # rays as coordinate planes, like the scan grid
-            crossing[rays] = bisect(x_batch.T[:, ci[rays]].T, ux[ci[rays]],
-                                    rule.nodes.T[:, mi[rays]].T, edges[ki[rays]],
-                                    edges[ki[rays] + 1], rising[rays])
-        signed = np.where(rising, 1.0, -1.0) * crossing ** (-p)
-        ray_vals = np.zeros((c, m_count))
+            x_r = x_batch.T[:, ci[rays]].T
+            s_r = rule.nodes.T[:, mi[rays]].T
+            ux_r = ux[ci[rays]]
+
+            def residual(active, h):
+                xa, sa = x_r[active], s_r[active]
+                half = xa + (0.5 * h)[:, None] * sa if use_phase else None
+                return _kernel_diff_pow(u, a, ux_r[active], xa + h[:, None] * sa, half, h, sa,
+                                        "bk,bk->b", p) - delta_pow
+
+            crossing[rays] = _illinois(residual, edges[ki[rays] - 1], edges[ki[rays]],
+                                       g_lo[rays] - delta_pow, g_hi[rays] - delta_pow,
+                                       16.0 * np.finfo(float).eps * delta_pow)
+        signed = np.where(g_hi > delta_pow, 1.0, -1.0) * crossing ** (-p)
+        ray_vals = np.zeros((len(x_batch), m_count))
         np.add.at(ray_vals, (ci, mi), signed)
         return (delta_pow / p) * np.einsum("cm,m->c", ray_vals, kernel_w)
 

@@ -29,6 +29,28 @@ def assert_config_error(out, *fragments):
         assert fragment in out.stderr
 
 
+@pytest.mark.parametrize("command, owner, work", [
+    ("limit-study", "cli", "run_study"), ("check-id2", "acc", "id2_rows"),
+    ("acceptance", "acc", "run_criteria"),
+])
+def test_missing_output_dir_checked_before_any_work(tmp_path, monkeypatch, capsys, command,
+                                                     owner, work):
+    from anisomag import cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was checked")
+
+    monkeypatch.setattr(cli if owner == "cli" else cli.acc, work, fail)
+    cfg = write_config(tmp_path / "cfg.json", {
+        "schema_version": 1, "body": {"shape": "ball", "dim": 2}, "p": 2.0,
+        "field": {"family": "zero", "dim": 2}, "potential": {"family": "zero", "dim": 2},
+        "functional": {"kind": "gagliardo"},
+    } if command == "limit-study" else {"schema_version": 1, "body": {"shape": "ball"}, "p": 2.0})
+    args = [] if command == "acceptance" else ["--config", cfg]
+    assert cli.main([command, *args, "--out", str(tmp_path / "absent")]) == 2
+    assert capsys.readouterr().err.startswith("error: output directory does not exist")
+
+
 class TestNorms:
     def test_cube_gauge_table(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {
@@ -153,7 +175,7 @@ class TestCheckId2:
             "schema_version": 1, "body": {"shape": "ball", "dim": 5}, "p": 2.0, "count": 2,
             "samples": 64,
         })
-        assert_config_error(run_cli("check-id2", "--config", cfg))
+        assert_config_error(run_cli("check-id2", "--config", cfg), "dimension 5")
 
 
 class TestLimitStudy:
@@ -255,14 +277,14 @@ class TestLimitStudy:
         assert_config_error(run_cli("limit-study", "--config", cfg), knob)
 
     def test_ludwig_table_without_an_n_exits_2(self, tmp_path):
-        # the s_values table has no entry for n = 16 or 32: LudwigFamily.s_value
-        # raises a TypeError, which must stay a configuration error
+        # the s_values table has no entry for n = 16 or 32: the error names
+        # the table and the first missing n
         payload = self.zero_study_config()
         payload["functional"] = {"kind": "bbm"}
         payload["mollifier"] = {"family": "ludwig", "s_values": {"4": 0.75, "8": 0.875}}
         payload["schedule"] = {"kind": "n", "values": [4, 8, 16, 32]}
         cfg = write_config(tmp_path / "cfg.json", payload)
-        assert_config_error(run_cli("limit-study", "--config", cfg))
+        assert_config_error(run_cli("limit-study", "--config", cfg), "s_values", "16")
 
     def test_seed_changes_digits_not_verdict(self, tmp_path):
         payload = {

@@ -18,6 +18,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import anisomag as am
+from anisomag import functionals
 
 
 def make_specs():
@@ -355,9 +356,10 @@ def _counting(u):
 
 class TestNguyenFrozenValues:
     """(value, error) of the threshold functional, recorded as repr strings
-    from the node-by-node scan.  The certified scan must reproduce every bit,
-    and so must the same field without its envelope, which is scanned node by
-    node."""
+    from a node-by-node scan with 48 bisection steps per crossing.  The
+    Illinois root finder must agree to 1e-12 relative (the crossing radii
+    move by rounding only), and the certified scan must give every bit the
+    node-by-node scan of the same field without its envelope gives."""
 
     @pytest.mark.parametrize("name, expected", [
         ("ball_p2_rotational_mc", "(13.087878573764385, 1.2836235332135282)"),
@@ -370,9 +372,73 @@ class TestNguyenFrozenValues:
     def test_values(self, name, expected):
         u, spec, budget = _nguyen_case(name)
         assert u.envelope is not None
-        assert repr(am.nguyen(u, spec, budget, seed=1)) == expected
+        certified = am.nguyen(u, spec, budget, seed=1)
+        oracle = tuple(float(v) for v in expected.strip("()").split(", "))
+        assert certified == pytest.approx(oracle, rel=1e-12, abs=0.0)
         plain = dataclasses.replace(u, envelope=None)
-        assert repr(am.nguyen(plain, spec, budget, seed=1)) == expected
+        assert am.nguyen(plain, spec, budget, seed=1) == certified
+
+
+def _bisect(residual, lo, hi, iters=200):
+    """Root of a scalar residual on [lo, hi], positive at exactly one end."""
+    hi_positive = residual(hi) > 0.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if (residual(mid) > 0.0) == hi_positive:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+class TestIllinois:
+    @staticmethod
+    def _solve(fns, lo, hi, tol=0.0):
+        """_illinois on one ray per residual in ``fns``; also returns the
+        radii each ray was evaluated at."""
+        calls = [[] for _ in fns]
+
+        def residual(rays, h):
+            for ray, x in zip(rays, h):
+                calls[ray].append(x)
+            return np.array([fns[ray](x) for ray, x in zip(rays, h)])
+
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        r_lo = [fn(x) for fn, x in zip(fns, lo)]
+        r_hi = [fn(x) for fn, x in zip(fns, hi)]
+        return functionals._illinois(residual, lo, hi, r_lo, r_hi, tol), calls
+
+    def test_matches_bisection(self):
+        # rising and falling crossings, steep and flat, one near h = 0
+        fns = [lambda h: h * h - 0.3, lambda h: 1.3 - math.exp(h), lambda h: math.sin(9.0 * h),
+               lambda h: math.tanh(50.0 * (h - 0.41)), lambda h: 1e-3 * math.log(h / 2e-7)]
+        lo, hi = [0.5, 0.2, 0.3, 0.3, 1e-7], [0.6, 0.4, 0.4, 0.5, 1e-6]
+        roots, calls = self._solve(fns, lo, hi)
+        for fn, a, b, root, n in zip(fns, lo, hi, roots, calls):
+            assert root == pytest.approx(_bisect(fn, a, b), rel=1e-12, abs=0.0)
+            assert a <= root <= b and len(n) < functionals._ROOT_MAX_ITERS
+
+    def test_secant_step_outside_the_bracket_takes_the_midpoint(self):
+        # the residual vanishes at lo, where the state is "not above": the
+        # secant step lands on lo itself, so every step bisects
+        fns = [lambda h: h - 0.5]
+        roots, calls = self._solve(fns, [0.5], [1.0])
+        assert calls[0][:3] == [0.75, 0.625, 0.5625]
+        assert roots[0] == pytest.approx(_bisect(fns[0], 0.5, 1.0), rel=1e-12, abs=0.0)
+
+    def test_slow_ray_stops_at_the_cap(self):
+        # a residual that jumps from -1 to 1e300 at 0.5 moves the secant step
+        # by ~1e-300 per step; the ray stops at the cap with its last
+        # iterate, and the smooth ray beside it is solved as if alone
+        slow = [lambda h: -1.0 if h < 0.5 else 1e300]
+        smooth = [lambda h: h * h - 0.3]
+        roots, calls = self._solve(slow + smooth, [0.0, 0.5], [1.0, 0.6])
+        assert len(calls[0]) == functionals._ROOT_MAX_ITERS
+        assert roots[0] == calls[0][-1] and 0.0 < roots[0] < 0.5
+        alone, _ = self._solve(smooth, [0.5], [0.6])
+        assert roots[1] == alone[0]
 
 
 class TestCertifiedScan:
@@ -394,6 +460,23 @@ class TestCertifiedScan:
             am.nguyen(counted, spec, budget, seed=1)
             counts.append(sum(math.prod(s[:-1]) for s in shapes if len(s) >= 3))
         assert counts[0] <= 0.25 * counts[1]
+
+    @settings(max_examples=16)
+    @given(delta=st.floats(0.005, 0.2), p=st.sampled_from([1.0, 1.5, 2.0]),
+           field=st.sampled_from(["gaussian", "modulated", "bump"]),
+           potential=st.sampled_from(["zero", "rotational", "linear"]),
+           body=st.sampled_from(["ball", "square"]), outer=st.sampled_from(["tensor", "montecarlo"]))
+    def test_same_bits_as_the_node_by_node_scan(self, delta, p, field, potential, body, outer):
+        # every threshold state is decided on the same scan nodes, and the
+        # root finder starts from the same values at both ends of each cell
+        u = {"gaussian": am.gaussian(2), "modulated": am.modulated_gaussian(2, [1.0, 0.5]),
+             "bump": am.bump(2)}[field]
+        a = {"zero": am.zero_potential(2), "rotational": am.rotational_potential(1.0),
+             "linear": am.linear_potential([[0.2, -0.7], [0.4, 0.1]])}[potential]
+        spec = am.FunctionalSpec(am.Nguyen(delta), p, _scaled_body(body, 1.0), a)
+        budget = am.IntegrationBudget(outer=outer, resolution=10, samples=32, sphere_nodes=24)
+        plain = dataclasses.replace(u, envelope=None)
+        assert am.nguyen(u, spec, budget) == am.nguyen(plain, spec, budget)
 
 
 def _scaled_body(name, scale):
