@@ -588,7 +588,6 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
     # state persists to infinity (the difference there is |u(x)|_p)
     nodes = np.unique(np.r_[0, np.arange(1, len(edges), stride), len(edges) - 1])
     h_coarse = edges[nodes[1:]]
-    wide = np.diff(nodes) > 1
     steps = _ray_steps(h_coarse, rule.nodes)
     half_steps = _ray_steps(0.5 * h_coarse, rule.nodes) if use_phase else None
     delta_pow = delta**p
@@ -600,10 +599,15 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
     a0 = float(np.linalg.norm(a.evaluate(np.zeros((1, dim))))) if use_phase else 0.0
     lip_a = a.lipschitz_constant if use_phase else 0.0
 
-    def certified(xs, x2, lo, hi, f_lo, f_hi):
-        """Whether the Lipschitz bound on f(h) = gpow(h)^(1/p) decides the
-        threshold state on the whole cell [edges[lo], edges[hi]] of the ray
-        with x.sigma = ``xs`` and |x|^2 = ``x2``; arguments broadcast."""
+    def kept(xs, x2, lo, hi, g_lo, g_hi):
+        """Whether the cell [edges[lo], edges[hi]] of the ray with x.sigma =
+        ``xs`` and |x|^2 = ``x2``, with gpow = g_lo and g_hi at its ends,
+        stays open: its ends disagree, or it is wider than one scan cell and
+        the Lipschitz bound on f(h) = gpow(h)^(1/p) does not decide its
+        threshold state; arguments broadcast."""
+        flips = (g_lo > delta_pow) != (g_hi > delta_pow)
+        if stride == 1:
+            return flips
         h_lo, h_hi = edges[lo], edges[hi]
         # distance from 0 to the segment x + h sigma, h in [h_lo, h_hi]
         # (sigma is a unit vector)
@@ -615,7 +619,9 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
         # nowhere when (f_a + f_b)/2 + L w/2 < delta; the 1e-9 margin covers
         # the rounding of f and of gpow > delta^p at the inner nodes, and a
         # NaN leaves the cell open
-        return np.abs(f_lo + f_hi - 2.0 * delta) > c_p * (h_hi - h_lo) * grad + 2e-9 * delta
+        f_sum = g_lo ** (1.0 / p) + g_hi ** (1.0 / p)
+        decided = np.abs(f_sum - 2.0 * delta) > c_p * (h_hi - h_lo) * grad + 2e-9 * delta
+        return flips | ((hi - lo > 1) & ~decided)
 
     def node_pow(x, ux, sig, ci, mi, h):
         """gpow at h[b] on the ray (x[ci[b]], sig[mi[b]]): (1, b, N) points
@@ -642,23 +648,19 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
         sig = rule.nodes[dirs]
         gpow, _ = _psi_diff_pow(u, a, x, ux, h_coarse, sig, steps[:, dirs], half, p)
         gpow = np.concatenate([np.zeros(gpow.shape[:2] + (1,)), gpow], axis=2)
-        f = gpow ** (1.0 / p)
         xs, x2 = np.einsum("ck,mk->cm", x, sig), np.einsum("ck,ck->c", x, x)
-        fires = gpow > delta_pow
-        settled = fires[:, :, 1:] == fires[:, :, :-1]
-        if stride > 1:
-            settled &= ~wide | certified(xs[:, :, None], x2[:, None, None], nodes[:-1],
-                                         nodes[1:], f[:, :, :-1], f[:, :, 1:])
+        open_ = kept(xs[:, :, None], x2[:, None, None], nodes[:-1], nodes[1:], gpow[:, :, :-1],
+                     gpow[:, :, 1:])
         # the cells left are sparse, so a flat search beats a 3-D nonzero; they
-        # are kept as columns (point, direction, lo, hi), with the (gpow, gpow,
-        # f, f) of their ends, and each one scan cell wide flips
-        ci, mi, ji = np.unravel_index(np.flatnonzero(~settled), settled.shape)
+        # are kept as columns (point, direction, lo, hi), with the gpow of
+        # their ends, and each one scan cell wide flips
+        ci, mi, ji = np.unravel_index(np.flatnonzero(open_), open_.shape)
         cells = np.stack([ci, mi, nodes[ji], nodes[ji + 1]])
-        ends = np.stack([gpow[ci, mi, ji], gpow[ci, mi, ji + 1], f[ci, mi, ji], f[ci, mi, ji + 1]])
+        ends = np.stack([gpow[ci, mi, ji], gpow[ci, mi, ji + 1]])
         found = []
         while True:
             one = cells[3] - cells[2] == 1
-            found.append((cells[:, one], ends[:2, one]))
+            found.append((cells[:, one], ends[:, one]))
             cells, ends = cells[:, ~one], ends[:, ~one]
             if not cells.shape[1]:
                 break
@@ -671,10 +673,8 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
             cells, ends = np.tile(cells, 2), np.tile(ends, 2)
             cells[3, :n] = cells[2, n:] = split
             ends[1, :n] = ends[0, n:] = g_split
-            ends[3, :n] = ends[2, n:] = g_split ** (1.0 / p)
             ci, mi, lo, hi = cells
-            keep = (ends[0] > delta_pow) != (ends[1] > delta_pow)
-            keep |= (hi - lo > 1) & ~certified(xs[ci, mi], x2[ci], lo, hi, ends[2], ends[3])
+            keep = kept(xs[ci, mi], x2[ci], lo, hi, *ends)
             cells, ends = cells[:, keep], ends[:, keep]
         (ci, mi, _, ki), (g_lo, g_hi) = (np.concatenate(col, axis=1) for col in zip(*found))
         order = np.argsort((ci * len(sig) + mi) * len(edges) + ki)
@@ -793,7 +793,6 @@ def _bbm_indicator(u, spec, budget):
         radius = u.support_radius + budget.margin
         h_cut = np.full(rule.size, radius + u.support_radius)
         live = None
-    use_phase = not a.is_zero
     xg, wg = np.polynomial.legendre.leggauss(_RADIAL_ORDER)
     xi = 0.5 * (xg + 1.0)
     wxi = 0.5 * wg
@@ -815,6 +814,8 @@ def _bbm_indicator(u, spec, budget):
         seg = (hi**e - lo**e) / e if e > 0 else np.log(np.maximum(hi, 1e-300) / np.maximum(lo, 1e-300))
         return np.einsum("cm,m->c", seg, plain_w)
 
+    # A != 0 here: at A = 0 the shrinking family takes values_fn_plain and
+    # bbm sends the Ludwig family to _gagliardo_like
     def values_fn(x_chunk):
         t_lo, t_hi = region.ray_interval(x_chunk[:, None, :], rule.nodes[None, :, :])
         inside = region.contains(x_chunk)
@@ -837,7 +838,7 @@ def _bbm_indicator(u, spec, budget):
             gg = g[mi][:, None]
             base = family.rho(h * gg, n) / gg * h ** (dim - 2)
             ux_val = inside[ci].astype(float)
-            if use_phase and uy_val == 1.0:
+            if uy_val == 1.0:
                 sig = rule.nodes[mi]
                 mid_pts = x_chunk[ci][:, None, :] + 0.5 * h[:, :, None] * sig[:, None, :]
                 rot = _phase(a, mid_pts, h, sig, "brk,bk->br")
@@ -855,6 +856,6 @@ def _bbm_indicator(u, spec, budget):
             out = out + inside.astype(float) * float(np.einsum("m,m->", tail, rule.weights))
         return out
 
-    if shrinking and not use_phase:
+    if shrinking and a.is_zero:
         return _midpoint_integrate(values_fn_plain, dim, radius, budget.resolution, live, 16384)
     return _midpoint_integrate(values_fn, dim, radius, budget.resolution, live, 2048)

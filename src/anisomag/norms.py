@@ -12,9 +12,10 @@ representation
 
 on a sphere rule adapted to each vector.  Agreement of the two routes is
 itself a correctness check and is exercised by the acceptance suite.
-dual_norm_z1 is the dual of the p = 1 norm.  All hot-path contractions use
-einsum/broadcasting (no BLAS) so results are bitwise reproducible regardless
-of threading.
+dual_norm_z1 is the dual of the p = 1 norm: on the kernel's rule that norm
+is the support function of a zonotope, and its dual is the zonotope's gauge,
+computed exactly.  All hot-path contractions use einsum/broadcasting (no
+BLAS) so results are bitwise reproducible regardless of threading.
 
 At p = 2 the surface sum is a quadratic form: with the rule's nodes sigma_m
 and kernel weights w_m,
@@ -265,12 +266,11 @@ def dual_norm_z1(body: ConvexBody, w) -> float | np.ndarray:
     """Dual norm sup{<v, w> : ||v||_{1,K} <= 1} over real vectors.
 
     ``w`` is one vector (the result is a float) or an (n, N) batch (an
-    array).  The supremum of <s, w>/||s||_{1,K} over unit directions s is
-    exact at N = 1; at N = 2 a 2048-direction scan is refined by a parabola
-    through the best direction and its neighbours (a maximizer on a kink
-    keeps the scan value); at N = 3 a dense scan seeds a Nelder-Mead ascent
-    on the sphere.  Above N = 1 the result is a lower bound on the supremum
-    for the kernel's quadrature of the norm, converging as the scan refines.
+    array).  With the p = 1 kernel's weights c_m and nodes sigma_m, the norm
+    sum_m |v . g_m| on the generators g_m = c_m sigma_m is the support
+    function of the zonotope Z = sum_m [-g_m, g_m], so its dual is the gauge
+    of Z, computed exactly for the kernel's rule: a closed form at N = 1, the
+    edges of Z at N = 2 and one linear program per vector at N = 3.
     """
     w = np.asarray(w)
     if np.iscomplexobj(w):
@@ -281,61 +281,53 @@ def dual_norm_z1(body: ConvexBody, w) -> float | np.ndarray:
     if body.dim > 3:
         raise ValueError("dual norm implemented for dimensions 1 through 3")
     kernel = SphereMomentKernel(body, 1.0)
+    gens = kernel.kernel_weights[:, None] * kernel.rule.nodes
     if body.dim == 1:
-        duals = np.abs(ws[:, 0]) / float(kernel.norms_pow_p(np.array([1.0])))
+        duals = np.abs(ws[:, 0]) / np.einsum("mk->", np.abs(gens))
     elif body.dim == 2:
-        duals = _dual_scan_2d(kernel, ws)
+        # fold the generators into the upper half-plane and sort them by
+        # angle; then the edge of Z with outer normal n_j (g_j turned by 90
+        # degrees) has its midpoint at v_j = sum_{m>j} g_m - sum_{m<j} g_m,
+        # every edge is one of these or its mirror image, and the gauge of w
+        # is max_j |n_j . w| / (n_j . v_j)
+        theta = np.arctan2(gens[:, 1], gens[:, 0])
+        lower = theta < 0.0
+        order = np.argsort(np.where(lower, theta + np.pi, theta))
+        gens = np.where(lower[:, None], -gens, gens)[order]
+        below = np.cumsum(gens, axis=0)
+        vertices = below[-1] - 2.0 * below + gens
+        normals = np.stack([-gens[:, 1], gens[:, 0]], axis=1)
+        ratios = np.abs(np.einsum("nk,mk->nm", ws, normals))
+        ratios /= np.einsum("mk,mk->m", normals, vertices)
+        duals = np.max(ratios, axis=1)
     else:
-        scan = sphere_rule(3, 8192, body=body)
-        ratios = np.einsum("nk,mk->nm", ws, scan.nodes) / kernel.norms_pow_p(scan.nodes)
-        duals = np.array([_dual_ascent(kernel, row, scan.nodes[np.argmax(r)], np.max(r))
-                          for row, r in zip(ws, ratios)])
+        from scipy.optimize import linprog
+
+        # maximize r subject to r w = sum_m lambda_m g_m, |lambda_m| <= 1, in
+        # the frame of the reflection H with H w = -s |w| e_1 (s the sign of
+        # w_1): there r |w| = -s sum_m lambda_m (H g_m)_1 and the other two
+        # rows are homogeneous.  HiGHS reads a matrix entry below 1e-9 as zero
+        # and holds rows to an absolute tolerance, so w enters only through
+        # H, each row is scaled to a largest entry of 1 (g_m scales as the
+        # body's size^(N+1)), and the gauge is read off the LP's dual, not its
+        # objective: (s, -y) is the normal n of the facet that r w lies on, in
+        # the scaled frame, and |n . w| / sum_m |n . g_m| keeps every entry.
+        duals = np.zeros(len(ws))
+        for i, row in enumerate(ws):
+            size = math.sqrt(np.einsum("k,k->", row, row))
+            if size == 0.0:
+                continue
+            sign = 1.0 if row[0] >= 0.0 else -1.0
+            axis = row / size
+            axis[0] += sign
+            frame = gens - np.einsum("mk,k->m", gens, axis)[:, None] * (axis / (sign * axis[0]))
+            scale = np.max(np.abs(frame), axis=0)
+            frame = frame / scale
+            lp = linprog(sign * frame[:, 0], A_eq=frame[:, 1:].T, b_eq=np.zeros(2),
+                         bounds=(-1.0, 1.0), method="highs")
+            if lp.status != 0:
+                raise RuntimeError(f"dual norm linear program failed: {lp.message}")
+            normal = np.r_[sign, -lp.eqlin.marginals]
+            support = np.einsum("m->", np.abs(np.einsum("mk,k->m", frame, normal)))
+            duals[i] = size / (scale[0] * support)
     return float(duals[0]) if w.ndim == 1 else duals
-
-
-def _dual_scan_2d(kernel: SphereMomentKernel, ws: np.ndarray) -> np.ndarray:
-    m = 2048
-    theta = 2.0 * np.pi * np.arange(m) / m
-    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    inv_norms = 1.0 / kernel.norms_pow_p(dirs)
-    ratios = np.einsum("nk,mk->nm", ws, dirs) * inv_norms[None, :]
-    j = np.argmax(ratios, axis=1)
-    rows = np.arange(len(ws))
-    f0 = ratios[rows, j]
-    f_minus = ratios[rows, (j - 1) % m]
-    f_plus = ratios[rows, (j + 1) % m]
-    denom = f_minus - 2.0 * f0 + f_plus
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shift = np.where(np.abs(denom) > 1e-300,
-                         0.5 * (f_minus - f_plus) / denom, 0.0)
-    shift = np.clip(shift, -1.0, 1.0) * (2.0 * np.pi / m)
-    t_ref = theta[j] + shift
-    refined = np.stack([np.cos(t_ref), np.sin(t_ref)], axis=1)
-    f_ref = np.einsum("nk,nk->n", ws, refined) / kernel.norms_pow_p(refined)
-    return np.maximum(f0, f_ref)
-
-
-def _dual_ascent(kernel: SphereMomentKernel, w: np.ndarray, start: np.ndarray,
-                 best: float) -> float:
-    """Nelder-Mead ascent of <s, w>/||s||_{1,K} from the scan's best direction."""
-
-    def neg_ratio_angles(angles: np.ndarray) -> float:
-        sigma = _sigma_from_angles(angles)
-        return -float(np.einsum("k,k->", sigma, w)) / float(kernel.norms_pow_p(sigma))
-
-    from scipy import optimize
-
-    res = optimize.minimize(neg_ratio_angles, _angles_from_sigma(start), method="Nelder-Mead",
-                            options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 400})
-    return max(float(best), float(-res.fun))
-
-
-def _sigma_from_angles(angles: np.ndarray) -> np.ndarray:
-    theta, phi = angles
-    return np.array(
-        [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)]
-    )
-
-
-def _angles_from_sigma(sigma: np.ndarray) -> np.ndarray:
-    return np.array([np.arctan2(sigma[1], sigma[0]), np.arccos(np.clip(sigma[2], -1, 1))])

@@ -7,7 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize
 from scipy.special import gamma
 
 import anisomag as am
@@ -250,6 +253,124 @@ class TestDualNorm:
         body = am.EuclideanBall(1, radius=2.0)
         val = am.dual_norm_z1(body, [3.0])
         assert val == pytest.approx(3.0 / 8.0, rel=1e-9)
+
+
+def _zonotope_gauge_2d(body, ws):
+    """Brute-force dual norm in 2-D: the edges of the kernel's zonotope are
+    parallel to the kernel nodes, so their normals are the nodes turned by 90
+    degrees, and the dual of w is the largest |<n, w>| / ||n||_{1,K} over
+    those normals n (M^2 work, in blocks)."""
+    kernel = am.SphereMomentKernel(body, 1.0)
+    normals = kernel.rule.nodes[:, ::-1] * [-1.0, 1.0]
+    norms = np.concatenate([kernel.norms_pow_p(block) for block in np.array_split(normals, 8)])
+    return np.max(np.abs(np.einsum("nk,mk->nm", ws, normals)) / norms, axis=1)
+
+
+_DUAL_BODIES_2D = {
+    "ball": lambda: am.EuclideanBall(2),
+    "ellipse": lambda: am.Ellipsoid.from_semi_axes([2.0, 1.0]),
+    "cube": lambda: am.cube(2),
+    "hexagon": am.regular_hexagon,
+    "l3": lambda: am.LqBall(2, 3.0),
+}
+
+
+def _tilted_ellipsoid_3d():
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+    return am.Ellipsoid(q @ np.diag([2.0, 1.0, 0.5]) @ q.T)
+
+
+_DUAL_BODIES_3D = {
+    "ball3": lambda: am.EuclideanBall(3),
+    "ellipsoid3": lambda: am.Ellipsoid.from_semi_axes([2.0, 1.0, 1.0]),
+    "tilted3": _tilted_ellipsoid_3d,
+    "cube3": lambda: am.cube(3),
+}
+
+
+_coordinate = st.floats(min_value=-10.0, max_value=10.0, allow_subnormal=False)
+
+
+class TestExactDual:
+    """The dual norm is the gauge of the zonotope sum_m [-g_m, g_m] whose
+    support function is the kernel's p = 1 norm, exactly for its rule."""
+
+    @pytest.mark.parametrize("name", sorted(_DUAL_BODIES_2D))
+    def test_matches_brute_force_gauge_2d(self, name):
+        body = _DUAL_BODIES_2D[name]()
+        ws = np.random.default_rng(derive_seed(11, name)).standard_normal((20, 2))
+        np.testing.assert_allclose(am.dual_norm_z1(body, ws), _zonotope_gauge_2d(body, ws),
+                                   rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=40)
+    @given(name=st.sampled_from(sorted(_DUAL_BODIES_2D) + sorted(_DUAL_BODIES_3D)),
+           data=st.data())
+    def test_pairing_bound(self, name, data):
+        body = {**_DUAL_BODIES_2D, **_DUAL_BODIES_3D}[name]()
+        vector = st.lists(_coordinate, min_size=body.dim, max_size=body.dim)
+        w = np.array(data.draw(vector))
+        s = np.array(data.draw(st.lists(vector, min_size=1, max_size=8)))
+        norms = am.SphereMomentKernel(body, 1.0).norms_pow_p(s)
+        # below the smallest normal float, rounding is absolute
+        bound = norms * am.dual_norm_z1(body, w) * (1.0 + 1e-12) + np.finfo(float).tiny
+        assert np.all(np.einsum("nk,k->n", s, w) <= bound)
+
+    @pytest.mark.parametrize("name", sorted(_DUAL_BODIES_3D))
+    def test_at_least_the_direction_scan_3d(self, name):
+        body = _DUAL_BODIES_3D[name]()
+        ws = np.random.default_rng(derive_seed(12, name)).standard_normal((3, 3))
+        scan = sphere_rule(3, 8192, body=body).nodes
+        norms = am.SphereMomentKernel(body, 1.0).norms_pow_p(scan)
+        best = np.max(np.einsum("nk,mk->nm", ws, scan) / norms, axis=1)
+        duals = am.dual_norm_z1(body, ws)
+        assert np.all(duals >= best * (1.0 - 1e-12))
+        # the scan's best direction is close to the maximizer
+        np.testing.assert_allclose(duals, best, rtol=1e-3, atol=0.0)
+
+    @pytest.mark.parametrize("radius", [0.02, 50.0])
+    def test_scales_with_the_body_3d(self, radius):
+        # the generators scale as radius^4, so the dual norm scales as
+        # radius^-4; at radius 0.02 they are ~1e-10, below the solver's
+        # zero threshold unless its rows are scaled
+        ws = np.random.default_rng(derive_seed(13, "scale")).standard_normal((3, 3))
+        unit = am.dual_norm_z1(am.EuclideanBall(3), ws)
+        np.testing.assert_allclose(am.dual_norm_z1(am.EuclideanBall(3, radius), ws),
+                                   radius**-4 * unit, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("axes", [[1.0, 1.0, 0.05], [20.0, 1.0, 0.05]])
+    def test_thin_body_at_least_the_polished_scan_3d(self, axes):
+        # the generators along the short axis are up to 1e-10 of the largest;
+        # the gauge is at least the best ratio over an 8192-node scan and
+        # over a Nelder-Mead ascent from it (a lower bound that the solver's
+        # own objective, with those entries dropped, misses by up to 1e-9)
+        body = am.Ellipsoid.from_semi_axes(axes)
+        kernel = am.SphereMomentKernel(body, 1.0)
+        ws = np.random.default_rng(derive_seed(14, str(axes))).standard_normal((2, 3))
+        scan = sphere_rule(3, 8192, body=body).nodes
+        ratios = np.einsum("nk,mk->nm", ws, scan) / kernel.norms_pow_p(scan)
+        duals = am.dual_norm_z1(body, ws)
+        for w, r, dual in zip(ws, ratios, duals):
+            def neg_ratio(angles, w=w):
+                theta, phi = angles
+                s = np.array([np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta),
+                              np.cos(phi)])
+                return -float(s @ w) / float(kernel.norms_pow_p(s))
+
+            start = scan[np.argmax(r)]
+            ascent = minimize(neg_ratio, [np.arctan2(start[1], start[0]), np.arccos(start[2])],
+                              method="Nelder-Mead",
+                              options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 800})
+            assert dual >= max(np.max(r), -ascent.fun) * (1.0 - 1e-12)
+
+    def test_small_components_count_3d(self):
+        # a component of w below 1e-9 moves the gauge linearly, and a w of
+        # size 1e-12 scales it
+        body = _tilted_ellipsoid_3d()
+        w = np.array([1.0, 0.3, 0.0])
+        low, mid, high = am.dual_norm_z1(body, w + [[0.0, 0.0, t] for t in (-1e-10, 0.0, 1e-10)])
+        assert high - mid == pytest.approx(mid - low, rel=1e-3)
+        assert high != mid
+        assert am.dual_norm_z1(body, 1e-12 * w) == pytest.approx(1e-12 * mid, rel=1e-12)
 
 
 def _node_sum(nodes, weights, v):
