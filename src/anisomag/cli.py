@@ -205,14 +205,16 @@ def cmd_norms(args) -> int:
     else:
         raise ConfigError(f"config: unknown method {method_name!r}")
     vectors = [np.asarray(v, dtype=complex) for v in cfg["vectors"]]
+    if any(v.shape != (body.dim,) for v in vectors):
+        raise ConfigError(f"config: every vector needs {body.dim} components")
+    if ev.method is None:
+        results = [moment_norm_sphere(ev, v) for v in vectors]
+    else:  # one batch, so the body samples are drawn once
+        results = zip(*moment_norm_batch(ev, np.reshape(vectors, (-1, body.dim))))
     rows = [("vector", "gauge", "moment_norm", "error")]
     print(f"{'vector':<24} {'gauge':>12} {'moment_norm':>14} {'error':>12}")
-    for v in vectors:
+    for v, (val, err) in zip(vectors, results):
         gauge = body.gauge(v.real) if not v.imag.any() else float("nan")
-        if ev.method is None:
-            val, err = moment_norm_sphere(ev, v)
-        else:
-            (val,), (err,) = moment_norm_batch(ev, v[None, :])
         label = "[" + " ".join(f"{c.real:g}{c.imag:+g}j" if c.imag else f"{c.real:g}"
                                 for c in v) + "]"
         print(f"{label:<24} {gauge:>12.6g} {val:>14.8g} {err:>12.3g}")

@@ -11,7 +11,10 @@ representation
     ||v||_{p,K}^p = (1/p) * integral_{S^{N-1}} |v . s|_p^p / gauge(s)^{N+p} ds
 
 on a sphere rule adapted to each vector.  Agreement of the two routes is
-itself a correctness check and is exercised by the acceptance suite.
+itself a correctness check and is exercised by the acceptance suite.  The
+Monte Carlo kernel runs one vector at a time on the sample coordinate planes,
+so its memory grows with the number of samples alone and a vector's value
+does not depend on the batch it comes in.
 dual_norm_z1 is the dual of the p = 1 norm: on the kernel's rule that norm
 is the support function of a zonotope, and its dual is the zonotope's gauge,
 computed exactly.  All hot-path contractions use einsum/broadcasting (no
@@ -225,21 +228,29 @@ def moment_norm_batch(ev: MomentNormEvaluator, v: np.ndarray) -> tuple[np.ndarra
     """Monte Carlo moment-body norms of the rows of ``v`` with error estimates.
 
     The value is vol(K) * sample mean of |v . x|_p^p, the error the
-    propagated standard error of that mean.
+    propagated standard error of that mean.  The samples are drawn once and
+    stored as coordinate planes (N, n); the rows of ``v`` then run one at a
+    time, so every temporary holds one row of n samples and a row's value
+    does not depend on the other rows of its batch.
     """
     v = np.atleast_2d(np.asarray(v, dtype=complex))
     if v.shape[-1] != ev.body.dim:
         raise ValueError("vector dimension does not match the body")
     if ev.method is None:
         raise ValueError("moment_norm_batch needs an evaluator with BodyMonteCarlo samples")
-    if ev.method.samples < 1:
-        raise ValueError("evaluator has zero samples")
-    pts = ev.body.sample_uniform(ev.method.samples, derive_seed(ev.method.seed, "moment-norm", 0))
-    re, im = _projections(v, pts, "vk,nk->vn")
-    pw = mixed_pow_parts(re, im, ev.p)
-    mean = np.einsum("vn->v", pw) / pts.shape[0]
-    var = np.einsum("vn->v", (pw - mean[:, None]) ** 2) / max(pts.shape[0] - 1, 1)
-    sem = np.sqrt(var / pts.shape[0])
+    if ev.method.samples < 2:
+        raise ValueError("samples must be at least 2: one sample has no standard error")
+    planes = np.ascontiguousarray(
+        ev.body.sample_uniform(ev.method.samples, derive_seed(ev.method.seed, "moment-norm", 0)).T)
+    n = planes.shape[1]
+    mean = np.empty(len(v))
+    var = np.empty(len(v))
+    for i, row in enumerate(v):
+        pw = mixed_pow_parts(*_projections(row, planes, "k,kn->n"), ev.p)
+        mean[i] = np.einsum("n->", pw) / n
+        pw -= mean[i]
+        var[i] = np.einsum("n,n->", pw, pw) / (n - 1)
+    sem = np.sqrt(var / n)
     vol = ev.body.volume()
     integral = ev.normalizer * vol * mean
     values = integral ** (1.0 / ev.p)

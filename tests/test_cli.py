@@ -131,6 +131,45 @@ class TestNorms:
         assert out.returncode == 2
         assert "--threads" in out.stderr
 
+    def test_montecarlo_draws_once(self, tmp_path, monkeypatch):
+        # one batch for all vectors, each value bit for bit its one-vector call
+        import numpy as np
+
+        from anisomag import cli
+        from anisomag.bodies import ConvexBody
+        from anisomag.norms import BodyMonteCarlo, MomentNormEvaluator, moment_norm_batch
+        from anisomag.seeding import derive_seed
+
+        vectors = [[1.0, 0.5], ["1+2j", "-1j"], [0.25, -2.0]]
+        cfg = write_config(tmp_path / "cfg.json", {
+            "schema_version": 1, "body": {"shape": "cube", "dim": 2}, "p": 1.5,
+            "vectors": vectors, "method": "body_montecarlo", "seed": 4,
+        })
+        draws = []
+        sample_uniform = ConvexBody.sample_uniform
+
+        def counted(body, count, seed):
+            draws.append(count)
+            return sample_uniform(body, count, seed)
+
+        monkeypatch.setattr(ConvexBody, "sample_uniform", counted)
+        assert cli.main(["norms", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert draws == [65536]
+        monkeypatch.undo()
+        ev = MomentNormEvaluator(cli.parse_body({"shape": "cube", "dim": 2}), 1.5,
+                                 BodyMonteCarlo(65536, derive_seed(4, "norms")))
+        rows = (tmp_path / "norms.csv").read_text().splitlines()[1:]
+        for row, v in zip(rows, vectors, strict=True):
+            (val,), (err,) = moment_norm_batch(ev, np.array([complex(c) for c in v])[None, :])
+            assert row.split(",")[2:] == [repr(float(val)), repr(float(err))]
+
+    def test_wrong_vector_length_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "schema_version": 1, "body": {"shape": "cube", "dim": 2}, "p": 1.0,
+            "vectors": [[1.0, 0.0], [1.0, 0.0, 0.0]], "method": "body_montecarlo",
+        })
+        assert_config_error(run_cli("norms", "--config", cfg), "2 components")
+
 
 class TestCheckId2:
     @pytest.mark.parametrize("body", [
@@ -168,6 +207,13 @@ class TestCheckId2:
             "schema_version": 1, "body": {"shape": "cube", "dim": 2}, "p": 2.0, "samples": 0,
         })
         assert_config_error(run_cli("check-id2", "--config", cfg), "samples")
+
+    def test_one_sample_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "schema_version": 1, "body": {"shape": "cube", "dim": 2}, "p": 2.0, "samples": 1,
+        })
+        assert_config_error(run_cli("check-id2", "--config", cfg),
+                            "one sample has no standard error")
 
     def test_five_dimensional_body_exits_2(self, tmp_path):
         # the sphere rules stop at N = 4

@@ -4,6 +4,7 @@ quadrature routes, the dual norm, and the surface identity."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,79 @@ class TestMomentNorm:
         assert not np.array_equal(values, draw(4)[0])
         again = draw(3)
         assert np.array_equal(values, again[0]) and np.array_equal(errors, again[1])
+
+    def test_rejects_one_sample(self):
+        ev = am.MomentNormEvaluator(am.cube(2), 2.0, am.BodyMonteCarlo(1, 3))
+        with pytest.raises(ValueError, match="one sample has no standard error"):
+            am.moment_norm_batch(ev, np.array([1.0 + 0j, 0.0]))
+
+
+_KERNEL_BODIES = {"ball2": lambda: am.EuclideanBall(2), "hexagon": am.regular_hexagon,
+                  "cube3": lambda: am.cube(3)}
+
+
+def _mixed_batch(dim: int) -> np.ndarray:
+    """Four complex rows, the second of them real."""
+    rng = np.random.default_rng(dim)
+    vs = rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim))
+    vs[1] = vs[1].real
+    return vs
+
+
+def _fsum_reference(ev, v):
+    """Value and error of moment_norm_batch for one row, summed with math.fsum
+    over the same draws."""
+    pts = ev.body.sample_uniform(ev.method.samples, derive_seed(ev.method.seed, "moment-norm", 0))
+    pw = np.abs(pts @ v.real) ** ev.p + np.abs(pts @ v.imag) ** ev.p
+    n = len(pw)
+    mean = math.fsum(pw) / n
+    var = math.fsum((pw - mean) ** 2) / (n - 1)
+    integral = ev.normalizer * ev.body.volume() * mean
+    value = integral ** (1.0 / ev.p)
+    return value, value * ev.normalizer * ev.body.volume() * math.sqrt(var / n) / (ev.p * integral)
+
+
+class TestMonteCarloKernel:
+    @pytest.mark.parametrize("name", sorted(_KERNEL_BODIES))
+    def test_row_independent_of_its_batch(self, name):
+        body = _KERNEL_BODIES[name]()
+        vs = _mixed_batch(body.dim)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            ev = am.MomentNormEvaluator(body, p, am.BodyMonteCarlo(65536, 5))
+            values, errors = am.moment_norm_batch(ev, vs)
+            for i, v in enumerate(vs):
+                (value,), (error,) = am.moment_norm_batch(ev, v[None, :])
+                assert (value, error) == (values[i], errors[i]), (p, i)
+
+    @pytest.mark.parametrize("name", sorted(_KERNEL_BODIES))
+    def test_matches_an_fsum_reference(self, name):
+        body = _KERNEL_BODIES[name]()
+        vs = _mixed_batch(body.dim)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            ev = am.MomentNormEvaluator(body, p, am.BodyMonteCarlo(65536, 6))
+            values, errors = am.moment_norm_batch(ev, vs)
+            for i, v in enumerate(vs):
+                value, error = _fsum_reference(ev, v)
+                assert values[i] == pytest.approx(value, rel=1e-13, abs=0.0), (p, i)
+                assert errors[i] == pytest.approx(error, rel=1e-13, abs=0.0), (p, i)
+
+    def test_memory_grows_with_the_samples_alone(self):
+        body = am.cube(3)
+        rng = np.random.default_rng(7)
+        vs = rng.standard_normal((100, 3)) + 1j * rng.standard_normal((100, 3))
+        ev = am.MomentNormEvaluator(body, 1.5, am.BodyMonteCarlo(65536, 7))
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                fn()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        sampling = peak(lambda: body.sample_uniform(65536, 7))
+        assert peak(lambda: am.moment_norm_batch(ev, vs)) <= sampling + 4 * 2**20
 
 
 class TestMomentNormSphere:
