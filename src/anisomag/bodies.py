@@ -109,10 +109,10 @@ class Polytope:
 
     def contains(self, x) -> np.ndarray | bool:
         pts, single = _as_points(x, self.dim)
-        inside = np.all(
-            np.einsum("nk,fk->nf", pts, self.normals) <= self.offsets[None, :] + 1e-12,
-            axis=1,
-        )
+        nx = np.einsum("nk,fk->nf", pts, self.normals)
+        inside = np.ones(len(pts), dtype=bool)
+        for f, offset in enumerate(self.offsets):
+            inside &= nx[:, f] <= offset + 1e-12
         return bool(inside[0]) if single else inside
 
     def plane_distance(self, x) -> np.ndarray:

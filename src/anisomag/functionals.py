@@ -2,7 +2,11 @@
 
 Every functional is reduced to an outer x-integral, a unit-sphere integral in
 the direction sigma, and a radial integral in h along the ray y = x + h*sigma
-(the anisotropic kernel factorizes as gauge(x - y) = h * gauge(sigma)):
+(the anisotropic kernel factorizes as gauge(x - y) = h * gauge(sigma)).  All
+three integrate the magnetic difference |Psi(x, x + h sigma) - u(x)|_p^p of
+fields.psi, and one ray kernel, _diff_pow, computes it wherever a field is
+evaluated along rays: on the (point, sigma, h) grids, at the threshold scan's
+split nodes and in its root finding.
 
 * fractional seminorm: graded Gauss-Legendre panels in t = h^(p(1-s)), which
   flattens the endpoint singularity; the far tail where u(y) vanishes is
@@ -21,12 +25,13 @@ the direction sigma, and a radial integral in h along the ray y = x + h*sigma
   support; for polytope indicators the ray/region intersection makes the
   radial pieces explicit.
 
-Two drivers run the outer x-integral, both through one chunk loop: for
-smooth fields _outer_integrate (a trapezoid grid, or defensive importance
-sampling, on a ball), for indicators _midpoint_integrate (cell-centered grids
-at two resolutions).  Grid evaluations report |value(res) - value(res/2)|;
-Monte Carlo evaluations report the sample standard error.  Neither estimate
-is optional.
+On smooth fields the fractional and mollified functionals share one driver,
+_smooth_ray_integral (outer rule x sphere rule x radial rule).  The outer
+x-integral runs through one chunk loop: for smooth fields _outer_integrate (a
+trapezoid grid, or defensive importance sampling, on a ball), for indicators
+_midpoint_integrate (cell-centered grids at two resolutions).  Grid
+evaluations report |value(res) - value(res/2)|; Monte Carlo evaluations
+report the sample standard error.  Neither estimate is optional.
 """
 
 from __future__ import annotations
@@ -221,9 +226,9 @@ class IntegrationBudget:
 # 128 KiB or more with fresh pages, but after freeing the first one serves that
 # size from its heap and keeps the memory between blocks; blocks several times
 # larger were mapped, faulted in and unmapped again for every block unless an
-# earlier, larger allocation had raised those thresholds.  Per-(point, sigma)
-# results are assembled before any sum over sigma, so the block shape changes
-# no value.
+# earlier, larger allocation had raised those thresholds.  The ray kernel works
+# node by node, and every (point, sigma) is summed over h before any sum over
+# sigma, so the block shape changes no value.
 _BLOCK_ELEMENTS = 12288
 # points per call of a smooth integrand's values_fn
 _CHUNK = 32
@@ -279,70 +284,48 @@ def _mixture_samples(dim: int, radius: float, tau: float, count: int, seed: int)
     return pts, frac_g * rho_g + (1.0 - frac_g) * rho_u
 
 
-def _ray_steps(h, sigma):
-    """Offsets h * sigma on the (sigma, h) grid as (N, m, k) coordinate planes.
-
-    ``h`` is (k,) or per direction (m, k).  Storing one coordinate plane at a
-    time gives the field and potential evaluations on the points built by
-    _ray_points long contiguous runs instead of length-N inner loops; each
-    entry is the same product as in the interleaved layout.
-    """
-    return sigma.T[:, :, None] * h
-
-
-def _ray_points(x, planes):
-    """x + planes on the (point, sigma, h) grid: a (c, m, k, N) view whose
-    coordinates are stored plane by plane, like the planes of _ray_steps."""
-    out = np.empty((planes.shape[0], len(x)) + planes.shape[1:])
-    np.add(x.T[:, :, None, None], planes[:, None], out=out)
-    return out.transpose(1, 2, 3, 0)
-
-
-def _phase(a, mid, h, sigma, subscripts):
+def _phase(a, mid, h, dirs):
     """exp(-i h sigma.A(mid)), the magnetic phase of the step from x to
-    x + h sigma at its midpoints ``mid``; ``subscripts`` contracts A(mid)
-    with ``sigma`` to the shape of ``h``."""
-    rot = np.multiply(-1j * h, np.einsum(subscripts, a.evaluate(mid), sigma))
+    x + h sigma at its midpoints ``mid`` (..., N); ``dirs`` holds sigma as
+    (..., N) rows that broadcast against ``mid``, and ``h`` broadcasts
+    against the result."""
+    rot = np.multiply(-1j * h, np.einsum("...k,...k->...", a.evaluate(mid), dirs))
     return np.exp(rot, out=rot)
 
 
-def _kernel_diff_pow(u, a, ux, y, mid, h, sigma, subscripts, p):
-    """|exp(-i h sigma.A(mid)) u(y) - u(x)|_p^p at the points y = x + h sigma.
+def _diff_pow(u, a, x, steps, half_steps, h, dirs, ux, p):
+    """|exp(-i h sigma.A(mid)) u(y) - u(x)|_p^p at y = x + h sigma, which is
+    |psi(u, a, x, y) - u(x)|_p^p: exp(-i h sigma.A) = exp(i (x - y).A).
 
-    ``mid`` holds the midpoints x + (h/2) sigma, or is None to skip the
-    magnetic phase; ``subscripts`` is as for _phase, and ``ux`` broadcasts
-    against ``h``.
+    ``x`` and the steps h sigma and (h/2) sigma are coordinate planes (N, ...)
+    that broadcast together.  y and the midpoints x + (h/2) sigma are built
+    plane by plane, which gives the field and potential evaluations long
+    contiguous runs, and passed on as (..., N) views.  ``half_steps`` is None
+    to skip the magnetic phase; ``dirs`` is as for _phase, and ``h`` and ``ux``
+    broadcast against the result.  Returns the powers and y.
     """
+
+    def points(planes):
+        out = np.add(x, planes, out=np.empty(np.broadcast(x, planes).shape))
+        return out.transpose(*range(1, out.ndim), 0)
+
+    y = points(steps)
     uy = u.evaluate(y)
-    if mid is None:
-        return scalar_mixed_modulus_pow(uy - ux, p)
-    rot = _phase(a, mid, h, sigma, subscripts)
+    if half_steps is None:
+        return scalar_mixed_modulus_pow(uy - ux, p), y
+    rot = _phase(a, points(half_steps), h, dirs)
     uy = np.multiply(rot, uy, out=rot)
-    return scalar_mixed_modulus_pow(np.subtract(uy, ux, out=uy), p)
+    return scalar_mixed_modulus_pow(np.subtract(uy, ux, out=uy), p), y
 
 
-def _psi_diff_pow(u, a, x, ux, h, sigma, steps, half_steps, p):
-    """|Psi_u(x, x+h sigma) - Psi_u(x, x)|_p^p on the (point, sigma, h) grid.
-
-    ``ux`` is u(x); ``steps`` and ``half_steps`` are the planes
-    _ray_steps(h, sigma) and _ray_steps(0.5 * h, sigma), built once per
-    functional; ``half_steps`` is None to skip the magnetic phase.  ``h``
-    broadcasts against the trailing (sigma, h) axes.  Returns the powers and
-    the points y = x + h sigma.
-    """
-    y = _ray_points(x, steps)
-    mid = _ray_points(x, half_steps) if half_steps is not None else None
-    return _kernel_diff_pow(u, a, ux[:, None, None], y, mid, h, sigma, "cmhk,mk->cmh", p), y
-
-
-def _grid_blocks(count, m, k, split_directions=True):
+def _grid_blocks(count, m, k):
     """(point slice, direction slice) blocks of a (count, m, k) grid with at
     most _BLOCK_ELEMENTS nodes each: whole points when one point's (m, k) grid
     fits, else one point at a time with its directions split evenly.  A block
     exceeds the budget only where it cannot be split further: one direction's
-    k nodes, or one point's whole grid when ``split_directions`` is False."""
-    if m * k <= _BLOCK_ELEMENTS or not split_directions:
-        step = max(1, _BLOCK_ELEMENTS // (m * k))
+    k nodes."""
+    if m * k <= _BLOCK_ELEMENTS:
+        step = _BLOCK_ELEMENTS // (m * k)
         return [(slice(i, i + step), slice(0, m)) for i in range(0, count, step)]
     parts = min(m, -(-m * k // _BLOCK_ELEMENTS))
     step = -(-m // parts)
@@ -396,6 +379,44 @@ def _midpoint_integrate(values_fn, dim, radius, resolution, live, chunk):
     return fine, abs(fine - value_at(max(resolution // 2, 8)))
 
 
+def _smooth_ray_integral(u, a, rule, h, h_weights, kernel_w, p, radius, budget, label, seed,
+                         doubled=False, tail=None):
+    """Outer rule x sphere rule x radial rule for a smooth field: the outer
+    x-integral over the ball of ``radius`` of
+
+        sum_m kernel_w[m] sum_j h_weights[m, j] |Psi(x, x + h sigma_m) - u(x)|_p^p / h^p
+
+    at h = h[m, j]; ``h`` and ``h_weights`` are (m, k) and may be broadcast
+    views of nodes shared by every direction.  ``doubled`` counts twice the
+    pairs whose y lies outside the support of u, which a symmetric integrand
+    meets from both ends but the outer rule covers from x only; ``tail`` adds
+    tail * |u(x)|_p^p.  The step planes are built once per call.
+    """
+    steps = rule.nodes.T[:, :, None] * h
+    half_steps = None if a.is_zero else rule.nodes.T[:, :, None] * (0.5 * h)
+    h_pow = h**p
+    sup2 = u.support_radius**2
+
+    def values_fn(x_chunk):
+        ux = u.evaluate(x_chunk)
+        rad = np.empty((len(x_chunk), rule.size))
+        for pts, dirs in _grid_blocks(len(x_chunk), rule.size, h.shape[1]):
+            half = half_steps[:, None, dirs] if half_steps is not None else None
+            gpow, y = _diff_pow(u, a, x_chunk[pts].T[:, :, None, None], steps[:, None, dirs], half,
+                                h[dirs], rule.nodes[dirs, None], ux[pts, None, None], p)
+            qpow = np.divide(gpow, h_pow[dirs], out=gpow)
+            if doubled:
+                outside = np.einsum("cmhk,cmhk->cmh", y, y) > sup2
+                np.multiply(qpow, 1.0 + outside, out=qpow)
+            rad[pts, dirs] = np.einsum("cmh,mh->cm", qpow, h_weights[dirs])
+        vals = np.einsum("cm,m->c", rad, kernel_w)
+        if tail is None:
+            return vals
+        return vals + scalar_mixed_modulus_pow(ux, p) * tail
+
+    return _outer_integrate(values_fn, u, radius, budget, label, seed)
+
+
 # ---------------------------------------------------------------------------
 # fractional (Gagliardo-type) seminorm
 
@@ -438,30 +459,14 @@ def _gagliardo_like(u, a, body, p, s, budget, seed):
         return _gagliardo_indicator(u, s, budget, rule, kernel_w)
 
     h_nodes, h_weights = _gagliardo_radial(p, s, h_max)
-    h_pow = h_nodes**p
-    steps = _ray_steps(h_nodes, rule.nodes)
-    half_steps = None if symmetric else _ray_steps(0.5 * h_nodes, rule.nodes)
-    sup2 = u.support_radius**2
-    tail_factor = h_max ** (-p * s) / (p * s) * float(np.einsum("m->", kernel_w))
-
-    def values_fn(x_chunk):
-        ux = u.evaluate(x_chunk)
-        rad = np.empty((len(x_chunk), rule.size))
-        for pts, dirs in _grid_blocks(len(x_chunk), rule.size, len(h_nodes)):
-            half = half_steps[:, dirs] if half_steps is not None else None
-            gpow, y = _psi_diff_pow(u, a, x_chunk[pts], ux[pts], h_nodes, rule.nodes[dirs],
-                                    steps[:, dirs], half, p)
-            qpow = np.divide(gpow, h_pow, out=gpow)
-            if symmetric:
-                outside = np.einsum("cmhk,cmhk->cmh", y, y) > sup2
-                np.multiply(qpow, 1.0 + outside, out=qpow)
-            rad[pts, dirs] = np.einsum("cmh,h->cm", qpow, h_weights)
-        vals = np.einsum("cm,m->c", rad, kernel_w)
-        ux_pow = scalar_mixed_modulus_pow(ux, p)
-        tails = ux_pow * tail_factor * (2.0 if symmetric else 1.0)
-        return vals + tails
-
-    return _outer_integrate(values_fn, u, radius, budget, "gagliardo", seed)
+    shape = (rule.size, len(h_nodes))
+    # beyond h_max u(y) = 0, and the radial integral of |u(x)|_p^p h^(-1-ps)
+    # has a closed form
+    tail = h_max ** (-p * s) / (p * s) * float(np.einsum("m->", kernel_w))
+    return _smooth_ray_integral(u, a, rule, np.broadcast_to(h_nodes, shape),
+                                np.broadcast_to(h_weights, shape), kernel_w, p, radius, budget,
+                                "gagliardo", seed, doubled=symmetric,
+                                tail=tail * (2.0 if symmetric else 1.0))
 
 
 def _gagliardo_indicator(u, s, budget, rule, kernel_w):
@@ -588,8 +593,8 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
     # state persists to infinity (the difference there is |u(x)|_p)
     nodes = np.unique(np.r_[0, np.arange(1, len(edges), stride), len(edges) - 1])
     h_coarse = edges[nodes[1:]]
-    steps = _ray_steps(h_coarse, rule.nodes)
-    half_steps = _ray_steps(0.5 * h_coarse, rule.nodes) if use_phase else None
+    steps = rule.nodes.T[:, :, None] * h_coarse
+    half_steps = rule.nodes.T[:, :, None] * (0.5 * h_coarse) if use_phase else None
     delta_pow = delta**p
     m_count = rule.size
     # Along a ray |d/dh Psi(x, x + h sigma)| <= |grad u(y)| + (|A(0)| + Lip_A
@@ -623,30 +628,16 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
         decided = np.abs(f_sum - 2.0 * delta) > c_p * (h_hi - h_lo) * grad + 2e-9 * delta
         return flips | ((hi - lo > 1) & ~decided)
 
-    def node_pow(x, ux, sig, ci, mi, h):
-        """gpow at h[b] on the ray (x[ci[b]], sig[mi[b]]): (1, b, N) points
-        stored by plane, each the sum x + (h sigma) the full scan forms."""
-        h = h[None]
-        dirs = sig.T.take(mi, axis=1)[:, None]
-        base = x.T.take(ci, axis=1)[:, None]
-
-        def points(step):
-            out = np.multiply(dirs, step)
-            return np.add(base, out, out=out).transpose(1, 2, 0)
-
-        mid = points(0.5 * h) if use_phase else None
-        return _kernel_diff_pow(u, a, ux.take(ci), points(h), mid, h, dirs[:, 0], "hbk,kb->hb",
-                                p)[0]
-
     def crossings(x, ux, dirs):
         """(point, direction, index of ``edges`` after the flip, gpow at both
         ends of its scan cell) of every crossing in one grid block, in that
         order; directions count from the start of the slice.  A cell whose
         ends agree is settled if certified, and any other is split at its
         middle scan node until it is one scan cell wide."""
-        half = half_steps[:, dirs] if use_phase else None
+        half = half_steps[:, None, dirs] if use_phase else None
         sig = rule.nodes[dirs]
-        gpow, _ = _psi_diff_pow(u, a, x, ux, h_coarse, sig, steps[:, dirs], half, p)
+        gpow, _ = _diff_pow(u, a, x.T[:, :, None, None], steps[:, None, dirs], half, h_coarse,
+                            sig[:, None], ux[:, None, None], p)
         gpow = np.concatenate([np.zeros(gpow.shape[:2] + (1,)), gpow], axis=2)
         xs, x2 = np.einsum("ck,mk->cm", x, sig), np.einsum("ck,ck->c", x, x)
         open_ = kept(xs[:, :, None], x2[:, None, None], nodes[:-1], nodes[1:], gpow[:, :, :-1],
@@ -668,8 +659,14 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
             n, split = len(ci), (lo + hi) // 2
             g_split = np.empty(n)
             for start in range(0, n, _BLOCK_ELEMENTS):
+                # each node is the sum x + (h sigma) the full scan forms, so
+                # the split cells see the node-by-node scan's bits
                 b = slice(start, start + _BLOCK_ELEMENTS)
-                g_split[b] = node_pow(x, ux, sig, ci[b], mi[b], edges[split[b]])
+                h = edges[split[b]][None]
+                d = sig.T.take(mi[b], axis=1)[:, None]
+                g_split[b], _ = _diff_pow(u, a, x.T.take(ci[b], axis=1)[:, None], d * h,
+                                          d * (0.5 * h) if use_phase else None, h,
+                                          d.transpose(1, 2, 0), ux.take(ci[b]), p)
             cells, ends = np.tile(cells, 2), np.tile(ends, 2)
             cells[3, :n] = cells[2, n:] = split
             ends[1, :n] = ends[0, n:] = g_split
@@ -691,15 +688,16 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
         for start in range(0, len(ci), _BLOCK_ELEMENTS):
             rays = slice(start, start + _BLOCK_ELEMENTS)
             # rays as coordinate planes, like the scan grid
-            x_r = x_batch.T[:, ci[rays]].T
-            s_r = rule.nodes.T[:, mi[rays]].T
+            x_r = x_batch.T[:, ci[rays]]
+            s_r = rule.nodes.T[:, mi[rays]]
             ux_r = ux[ci[rays]]
 
             def residual(active, h):
-                xa, sa = x_r[active], s_r[active]
-                half = xa + (0.5 * h)[:, None] * sa if use_phase else None
-                return _kernel_diff_pow(u, a, ux_r[active], xa + h[:, None] * sa, half, h, sa,
-                                        "bk,bk->b", p) - delta_pow
+                d = s_r[:, active]
+                gpow, _ = _diff_pow(u, a, x_r[:, active], d * h,
+                                    d * (0.5 * h) if use_phase else None, h, d.T,
+                                    ux_r[active], p)
+                return gpow - delta_pow
 
             crossing[rays] = _illinois(residual, edges[ki[rays] - 1], edges[ki[rays]],
                                        g_lo[rays] - delta_pow, g_hi[rays] - delta_pow,
@@ -744,27 +742,11 @@ def _bbm_shrinking_smooth(u, spec, budget, seed):
     xi = 0.5 * (xg + 1.0)
     wxi = 0.5 * wg
     h_nodes = h_sup[:, None] * xi[None, :]  # (m, r)
-    steps = _ray_steps(h_nodes, rule.nodes)
-    half_steps = _ray_steps(0.5 * h_nodes, rule.nodes) if not a.is_zero else None
     radius = u.support_radius + float(np.max(h_sup))
     # per-(sigma, h) quadrature weight: rho/g^p * h^(N-1) * dh
     w_mr = (rho_const / g**p)[:, None] * h_nodes ** (dim - 1) * (h_sup[:, None] * wxi[None, :])
-    h_pow = h_nodes**p
-
-    def values_fn(x_chunk):
-        ux = u.evaluate(x_chunk)
-        vals = np.empty(len(x_chunk))
-        # the contraction sums over (sigma, h) in one pass, so a block never
-        # splits a point's directions: that would reorder the sum
-        for pts, _ in _grid_blocks(len(x_chunk), rule.size, h_nodes.shape[1],
-                                   split_directions=False):
-            gpow, _ = _psi_diff_pow(u, a, x_chunk[pts], ux[pts], h_nodes, rule.nodes, steps,
-                                    half_steps, p)
-            qpow = np.divide(gpow, h_pow, out=gpow)
-            vals[pts] = np.einsum("cmr,mr,m->c", qpow, w_mr, rule.weights)
-        return vals
-
-    return _outer_integrate(values_fn, u, radius, budget, "bbm", seed)
+    return _smooth_ray_integral(u, a, rule, h_nodes, w_mr, rule.weights, p, radius, budget, "bbm",
+                                seed)
 
 
 def _bbm_indicator(u, spec, budget):
@@ -841,7 +823,7 @@ def _bbm_indicator(u, spec, budget):
             if uy_val == 1.0:
                 sig = rule.nodes[mi]
                 mid_pts = x_chunk[ci][:, None, :] + 0.5 * h[:, :, None] * sig[:, None, :]
-                rot = _phase(a, mid_pts, h, sig, "brk,bk->br")
+                rot = _phase(a, mid_pts, h, sig[:, None])
                 diff_pow = scalar_mixed_modulus_pow(np.subtract(rot, ux_val[:, None], out=rot), 1.0)
             else:
                 diff_pow = np.broadcast_to(np.abs(uy_val - ux_val)[:, None], h.shape)

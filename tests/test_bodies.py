@@ -109,6 +109,36 @@ class TestNormProperties:
             x = rng.standard_normal((500, body.dim))
             np.testing.assert_allclose(body.gauge(-x), body.gauge(x), rtol=1e-13)
 
+    PROPERTY_BODIES = [
+        am.EuclideanBall(2), am.EuclideanBall(3),
+        am.Ellipsoid([[2.0, 0.5], [0.5, 1.0]]),
+        am.Ellipsoid([[2.0, 0.5, 0.1], [0.5, 1.0, -0.3], [0.1, -0.3, 0.7]]),
+        am.regular_hexagon(),
+        *(am.LqBall(dim, q) for dim in (2, 3) for q in (1.5, 3.0, math.inf)),
+    ]
+
+    @staticmethod
+    def _point(dim):
+        coords = st.floats(-10.0, 10.0, allow_subnormal=False)
+        return st.lists(coords, min_size=dim, max_size=dim).map(np.array).filter(
+            lambda x: np.abs(x).max() > 1e-3)
+
+    @pytest.mark.parametrize("body", PROPERTY_BODIES, ids=lambda b: f"{b.name}-{b.dim}d")
+    @given(data=st.data(), lam=st.floats(1e-3, 1e3))
+    def test_homogeneity_property(self, body, data, lam):
+        x = data.draw(self._point(body.dim))
+        assert body.gauge(lam * x) == pytest.approx(lam * body.gauge(x), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("body", PROPERTY_BODIES, ids=lambda b: f"{b.name}-{b.dim}d")
+    @given(data=st.data())
+    def test_origin_symmetry_property(self, body, data):
+        # exact for the gauges built from |x_k| and quadratic forms; the
+        # hexagon's opposite facet normals are negatives of each other to
+        # rounding only, so there the two sides may differ in the last bits
+        x = data.draw(self._point(body.dim))
+        rel = 1e-12 if isinstance(body, am.SymmetricPolytope) else 0.0
+        assert body.gauge(-x) == pytest.approx(body.gauge(x), rel=rel, abs=0.0)
+
     def test_zero_iff_origin(self):
         for body in bodies_catalog():
             assert body.gauge(np.zeros(body.dim)) == 0.0

@@ -44,6 +44,42 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+# numpy names whose contractions dispatch to BLAS, whose results can depend on
+# the thread count; the modules below contract with einsum only
+BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot"}
+EINSUM_ONLY = ["functionals.py", "fields.py", "energy.py"]
+
+
+def blas_contractions(source: str) -> list[str]:
+    """"name:line" of every BLAS-dispatching contraction in ``source``: the @
+    operator, and any attribute or numpy import named in BLAS_NAMES (np.dot,
+    the ndarray.dot method, from numpy import tensordot, ...)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(("@", node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            found += [(alias.name, node.lineno) for alias in node.names
+                      if alias.name in BLAS_NAMES]
+    return [f"{name}:{line}" for name, line in sorted(found, key=lambda f: f[1])]
+
+
+def test_checker_finds_blas_contractions():
+    src = ("import numpy as np\nfrom numpy import vdot, einsum\na = b @ c\nc @= d\n"
+           "x = np.dot(a, b) + a.dot(b)\ny = np.einsum('ij,jk->ik', a, b)\n"
+           "z = np.matmul(a, b), np.inner(a, b), np.tensordot(a, b)\n"
+           "inner = 1\n@decorator\ndef f(): pass\n")
+    assert blas_contractions(src) == ["vdot:2", "@:3", "@:4", "dot:5", "dot:5", "matmul:7",
+                                      "inner:7", "tensordot:7"]
+
+
+@pytest.mark.parametrize("name", EINSUM_ONLY)
+def test_einsum_only_contractions(name):
+    assert blas_contractions((PACKAGE / name).read_text()) == []
+
+
 @pytest.mark.parametrize("module", ["anisomag", "anisomag.cli"])
 def test_import_loads_no_scipy(module):
     # scipy is imported inside the functions that use it, which keeps it out
