@@ -2,8 +2,10 @@
 
 A study evaluates one nonlocal functional along a parameter schedule
 (s up to 1, delta down to 0, or mollifier index n up to infinity), applies the
-theorem normalization, extrapolates to the limit with a weighted power-law
-fit, and compares against the directly computed local target.
+theorem normalization, extrapolates to the limit with one weighted linear
+least-squares fit in the expansion that the path has in its small parameter t
+(1 - s, delta or 1/n), and compares against the directly computed local
+target.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .functionals import (
 )
 from .seeding import derive_seed
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 # smallest fit error: the weights 1/error then square to at most 1e300, so
 # all-zero data (errors 0, scale 1e-300) cannot overflow them into a NaN limit
 ERR_FLOOR_MIN = 1e-150
@@ -89,85 +91,56 @@ def default_schedule(kind: str) -> Schedule:
 @dataclass(frozen=True)
 class Extrapolation:
     limit: float
-    rate: float
     residual: float
     aitken: float
     limit_stderr: float
-    rate_determined: bool
-    fit_model: str
+    fit_model: str  # the fitted basis, e.g. "1, t^2, t^4"
 
 
-def extrapolate(points) -> Extrapolation:
-    """Weighted fit value = C + a t^b for points (t, value, error), t > 0 decreasing.
+def extrapolate(points, powers) -> Extrapolation:
+    """Weighted linear fit value = C + sum_j a_j t^q_j to points (t, value,
+    error), t > 0 strictly decreasing, with q_j the leading ``powers`` of the
+    path's expansion in t; C is the limit.
 
-    Falls back to the linear model (b = 1) when the nonlinear fit is
-    ill-conditioned (condition number above 1e8).  The Aitken delta-squared
-    accelerant of the last three points is returned as a cross-check; the
-    fitted rate is diagnostic only.
+    Only the first len(points) - 2 powers are kept, so the fit always has a
+    degree of freedom.  A point weighs 1/max(error, floor).  The fit runs on
+    value - value[-1], so C is a fixed linear combination of the values, and
+    a constant series gives its value exactly.  ``limit_stderr`` is
+    sqrt(cov_00 max(chi2_red, 1)): the covariance is scaled up when the points
+    scatter more than their errors say.  ``residual`` is the RMS weighted
+    residual; ``aitken`` is the delta-squared accelerant of the last three
+    points, a cross-check outside the fit.
     """
     pts = [(float(t), float(v), float(e)) for t, v, e in points]
     if len(pts) < 4:
         raise ValueError("extrapolation needs at least 4 points")
-    t = np.array([p[0] for p in pts])
-    v = np.array([p[1] for p in pts])
-    e = np.array([p[2] for p in pts])
+    t, v, e = np.array(pts).T
     if np.any(t <= 0.0) or not np.all(np.diff(t) < 0.0):
         raise ValueError("t must be positive and strictly decreasing")
     scale = max(float(np.max(np.abs(v))), 1e-300)
     err_floor = max(1e-12 * scale, float(np.min(e[e > 0])) if np.any(e > 0) else 1e-12 * scale,
                     ERR_FLOOR_MIN)
-    sigma = np.maximum(e, err_floor)
-    w = 1.0 / sigma
+    w = 1.0 / np.maximum(e, err_floor)
 
-    aitken = math.nan
     d1, d2 = v[-2] - v[-3], v[-1] - v[-2]
     if abs(d2 - d1) > 1e-300:
         aitken = float(v[-1] - d2 * d2 / (d2 - d1))
+    else:  # a constant tail is its own limit; an arithmetic one has none
+        aitken = float(v[-1]) if d2 == 0.0 else math.nan
 
-    # constant data: limit is the weighted mean, rate undetermined; it is
-    # reported as 0 (no t-dependence) rather than NaN, which JSON cannot round-trip
-    if np.ptp(v) <= 1e-14 * scale:
-        mean = float(np.sum(v * w**2) / np.sum(w**2))
-        stderr = 1.0 / math.sqrt(float(np.sum(w**2)))
-        return Extrapolation(mean, 0.0, 0.0, aitken if np.isfinite(aitken) else mean,
-                             stderr, False, "constant")
-
-    design = np.stack([np.ones_like(t), t], axis=1)
-    lin, *_ = np.linalg.lstsq(design * w[:, None], v * w, rcond=None)
-    c_lin, a_lin = float(lin[0]), float(lin[1])
-
-    def resid(params):
-        c, a, b = params
-        return w * (c + a * t**b - v)
-
-    # linear (b = 1) reference fit, also the fallback
-    r_lin = (design * w[:, None]) @ lin - v * w
-    residual_lin = float(np.sqrt(np.mean(r_lin**2)))
-    gram = (design * w[:, None]).T @ (design * w[:, None])
-    cov_lin = np.linalg.inv(gram) * max(float(np.sum(r_lin**2) / max(len(t) - 2, 1)), 1.0)
-    stderr_lin = float(math.sqrt(max(cov_lin[0, 0], 0.0)))
-    linear = Extrapolation(c_lin, 1.0, residual_lin, aitken, stderr_lin, False, "linear")
-
-    from scipy.optimize import least_squares
-
-    x0 = np.array([c_lin, a_lin if a_lin != 0.0 else 1e-6, 1.0])
-    fit = least_squares(resid, x0, bounds=([-np.inf, -np.inf, 0.05], [np.inf, np.inf, 4.0]),
-                        method="trf", max_nfev=2000)
-    jac = fit.jac
-    cond = np.linalg.cond(jac) if jac.size else np.inf
-    if not (fit.success and np.isfinite(cond) and cond < 1e8):
-        return linear
-    c, a, b = fit.x
-    dof = max(len(t) - 3, 1)
-    chi2red = max(2.0 * fit.cost / dof, 1.0)
-    cov = np.linalg.inv(jac.T @ jac) * chi2red
-    stderr = float(math.sqrt(max(cov[0, 0], 0.0)))
-    residual = float(math.sqrt(2.0 * fit.cost / len(t)))
-    # parsimony guard: a rate pinned at its bounds or an exploding limit
-    # uncertainty means the data cannot identify the power model
-    if b <= 0.06 or b >= 3.9 or stderr > max(2.0 * stderr_lin, 0.25 * abs(c)):
-        return linear
-    return Extrapolation(float(c), float(b), residual, aitken, stderr, True, "power")
+    q = tuple(float(x) for x in powers)[: len(t) - 2]
+    # columns (t/t_0)^q keep the Gram matrix well scaled; C is unchanged
+    design = np.einsum("i,ij->ij", w, (t / t[0])[:, None] ** np.array((0.0,) + q))
+    cov = np.linalg.inv(np.einsum("ij,ik->jk", design, design))
+    # the coefficients are a fixed linear map of the values, formed first
+    gain = np.einsum("jk,ik,i->ji", cov, design, w)
+    shifted = v - v[-1]
+    coef = np.einsum("ji,i->j", gain, shifted)
+    resid = np.einsum("ij,j->i", design, coef) - w * shifted
+    chi2 = float(np.einsum("i,i->", resid, resid))
+    stderr = math.sqrt(max(float(cov[0, 0]), 0.0) * max(chi2 / (len(t) - len(q) - 1), 1.0))
+    model = ", ".join(["1"] + ["t" if x == 1.0 else f"t^{x:g}" for x in q])
+    return Extrapolation(float(v[-1] + coef[0]), math.sqrt(chi2 / len(t)), aitken, stderr, model)
 
 
 @dataclass(frozen=True)
@@ -279,6 +252,20 @@ def compare(extrapolation: Extrapolation, target: float, tolerance: float,
 _KINDS = {"gagliardo": (Gagliardo, "s"), "nguyen": (Nguyen, "delta"), "bbm": (Bbm, "n")}
 
 
+def _expansion(kind: str, smooth: bool, mollifier_family) -> tuple:
+    """Powers of t in a path's expansion about its limit.  Linear for
+    indicator fields (a chord of length L adds c^2 - (c - L)_+^2, c = 1/(n g))
+    and the threshold functional; even in t = 1/n for the shrinking family on
+    smooth fields (F(-h) = F(h)); analytic in t = 1 - s for the fractional
+    seminorm, and for the Ludwig family fitted in t = 1/n (= 1 - s_n for the
+    default s_n)."""
+    if not smooth or kind == "nguyen":
+        return (1,)
+    if kind == "bbm" and isinstance(mollifier_family, ShrinkingUniformFamily):
+        return (2, 4)
+    return (1, 2, 3)
+
+
 def _point_budget(base: IntegrationBudget, t: float, t0: float,
                   indicator: bool) -> IntegrationBudget:
     """Budget growth along the schedule: MC samples like 1/t; tensor resolution
@@ -358,7 +345,8 @@ def run_study(
     else:
         points = [eval_point(i) for i in range(len(schedule.values))]
 
-    extrap = extrapolate([(pt.t, pt.value, pt.error) for pt in points])
+    extrap = extrapolate([(pt.t, pt.value, pt.error) for pt in points],
+                         _expansion(kind, u.smooth, mollifier_family))
     passed, diagnostics = compare(extrap, target, tolerance, points)
     rel_gap = abs(extrap.limit - target) / abs(target) if target != 0.0 else abs(extrap.limit)
     study = {

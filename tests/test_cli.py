@@ -244,7 +244,7 @@ class TestLimitStudy:
         assert out.returncode == 0, out.stderr
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["pass"] is True
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert (tmp_path / "points.csv").read_text().splitlines()[0] == "parameter,value,error"
         assert (tmp_path / "plot.dat").exists()
 

@@ -1,0 +1,78 @@
+"""Exact p = 2 references for the gaussian family at every schedule point.
+
+For an even kernel k, the double integral of |u(x) - Psi(x, y)|^2 k(x - y)
+equals the integral of F(h) k(h) over h, with F(h) the integral of
+|u(x) - Psi(x, x + h)|^2 over x.  For the unit gaussian and A = 0,
+F(h) = 2 pi^(N/2) (1 - exp(-|h|^2 / 4)), so the fractional seminorm is
+
+    raw(s) = 2 pi^(N/2) 2^(-1-2s) Gamma(1-s)/s J(2s),  J(q) = int_S g^(-N-q),
+
+with g the body's gauge, and (1 - s) raw(s) tends to pi^(N/2) J(2) / 4, the
+local energy.  For the modulated gaussian exp(i k.x) exp(-|x|^2/2) under the
+rotational potential of strength b, the local energy is
+
+    E = 1/2 int_S g^(-4) (pi/2 + pi b^2/8 + pi (k.sigma)^2) dsigma,
+
+and the shrinking-family study tends to p E.  The sphere integrals are 1-D
+quadratures here, independent of the package's sphere rules.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+from scipy.integrate import quad
+from scipy.special import gamma
+
+import anisomag as am
+
+BODIES = [("ball", am.EuclideanBall(2)), ("square", am.cube(2))]
+
+
+def sphere_integral(body, f):
+    """Integral over the unit circle of ``f(cos, sin, gauge)``, by quad split
+    at the multiples of pi/4, where the square's gauge has its kinks."""
+    kinks = [k * math.pi / 4.0 for k in range(1, 8)]
+
+    def integrand(theta):
+        c, s = math.cos(theta), math.sin(theta)
+        return f(c, s, body.gauge([c, s]))
+
+    return quad(integrand, 0.0, 2.0 * math.pi, points=kinks, limit=200, epsabs=0.0,
+                epsrel=1e-13)[0]
+
+
+def fractional_raw(body, s):
+    j = sphere_integral(body, lambda c, sn, g: g ** (-2.0 - 2.0 * s))
+    return 2.0 * math.pi * 2.0 ** (-1.0 - 2.0 * s) * gamma(1.0 - s) / s * j
+
+
+@pytest.mark.parametrize("name, body", BODIES, ids=[b[0] for b in BODIES])
+def test_fractional_gaussian(name, body):
+    # the fractional_smooth benchmark budget and schedule
+    schedule = am.Schedule("s", (0.80, 0.88, 0.93, 0.96, 0.98, 0.99, 0.995))
+    rep = am.run_study(am.gaussian(2), am.zero_potential(2), body, 2.0, "gagliardo", schedule,
+                       am.IntegrationBudget(outer="tensor", resolution=48, sphere_nodes=64),
+                       tolerance=0.01)
+    for pt in rep.points:
+        exact = (1.0 - pt.parameter) * fractional_raw(body, pt.parameter)
+        assert abs(pt.value - exact) <= 3.0 * pt.error, pt.parameter
+    limit = math.pi * sphere_integral(body, lambda c, sn, g: g**-4.0) / 4.0
+    assert rep.target == pytest.approx(limit, rel=1e-12)
+    ex = rep.extrapolation
+    assert abs(ex.limit - limit) <= 3.0 * ex.limit_stderr
+
+
+@pytest.mark.parametrize("name, body", BODIES, ids=[b[0] for b in BODIES])
+def test_shrinking_magnetic(name, body):
+    p, wave, b = 2.0, (1.0, 0.0), 1.0
+    rep = am.run_study(am.modulated_gaussian(2, list(wave)), am.rotational_potential(b), body, p,
+                       "bbm", None,
+                       am.IntegrationBudget(outer="tensor", resolution=64, sphere_nodes=96),
+                       mollifier_family=am.ShrinkingUniformFamily(2, p))
+    energy = 0.5 * sphere_integral(body, lambda c, sn, g: g**-4.0 * (
+        math.pi / 2.0 + math.pi * b * b / 8.0 + math.pi * (wave[0] * c + wave[1] * sn) ** 2))
+    assert rep.target == pytest.approx(p * energy, rel=1e-12)
+    ex = rep.extrapolation
+    assert abs(ex.limit - p * energy) <= 3.0 * ex.limit_stderr

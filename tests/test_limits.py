@@ -6,8 +6,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import anisomag as am
+
+# (powers, schedule) of each study path: indicator fields, the threshold
+# functional, the shrinking family on smooth fields, and the fractional
+# seminorm or Ludwig family on smooth fields
+PATH_EXPANSIONS = [
+    ((1,), am.default_schedule("n")),
+    ((1,), am.default_schedule("delta")),
+    ((2, 4), am.default_schedule("n")),
+    ((1, 2, 3), am.Schedule("s", (0.80, 0.88, 0.93, 0.96, 0.98, 0.99, 0.995))),
+]
+PATH_IDS = ["indicator", "nguyen", "shrinking", "fractional"]
 
 
 class TestSchedule:
@@ -39,27 +52,25 @@ class TestExtrapolate:
     def test_exact_linear_recovery(self):
         t = np.array([0.2, 0.1, 0.05, 0.025, 0.0125])
         v = 3.0 + 2.0 * t
-        ex = am.extrapolate([(ti, vi, 1e-8) for ti, vi in zip(t, v)])
+        ex = am.extrapolate([(ti, vi, 1e-8) for ti, vi in zip(t, v)], (1,))
         assert ex.limit == pytest.approx(3.0, abs=1e-6)
-        assert ex.rate == pytest.approx(1.0, abs=1e-3)
         assert ex.residual < 1e-6
 
     def test_constant_values(self):
         t = np.array([0.2, 0.1, 0.05, 0.025])
-        ex = am.extrapolate([(ti, 7.5, 1e-8) for ti in t])
+        ex = am.extrapolate([(ti, 7.5, 1e-8) for ti in t], (1, 2, 3))
         assert ex.limit == pytest.approx(7.5, abs=1e-10)
-        assert not ex.rate_determined
+        assert ex.fit_model == "1, t, t^2"
         assert ex.residual == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_data_gives_zero_limit(self):
         # all-zero values and errors: the error floor must not underflow into
         # infinite weights (0 * inf = NaN)
         t = np.array([0.2, 0.1, 0.05, 0.025, 0.0125])
-        ex = am.extrapolate([(ti, 0.0, 0.0) for ti in t])
+        ex = am.extrapolate([(ti, 0.0, 0.0) for ti in t], (2, 4))
         assert ex.limit == 0.0
-        assert ex.fit_model == "constant"
-        assert not ex.rate_determined
-        for value in (ex.rate, ex.residual, ex.aitken, ex.limit_stderr):
+        assert ex.fit_model == "1, t^2, t^4"
+        for value in (ex.residual, ex.aitken, ex.limit_stderr):
             assert math.isfinite(value)
         assert 0.0 <= ex.limit_stderr < 1e-100
 
@@ -67,52 +78,117 @@ class TestExtrapolate:
         rng = np.random.default_rng(0)
         t = np.array([0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625])
         v = 2.0 + 0.5 * np.sqrt(t) + rng.normal(0.0, 1e-6, len(t))
-        ex = am.extrapolate([(ti, vi, 1e-6) for ti, vi in zip(t, v)])
+        ex = am.extrapolate([(ti, vi, 1e-6) for ti, vi in zip(t, v)], (0.5,))
         assert abs(ex.limit - 2.0) < 1e-4
+        assert ex.fit_model == "1, t^0.5"
 
     def test_aitken_on_geometric_sequence(self):
         # v = C + a q^k is accelerated exactly by the delta-squared formula
         t = np.array([0.1, 0.05, 0.025, 0.0125])
         v = 5.0 + 3.0 * t  # geometric in t with ratio 1/2
-        ex = am.extrapolate([(ti, vi, 1e-9) for ti, vi in zip(t, v)])
+        ex = am.extrapolate([(ti, vi, 1e-9) for ti, vi in zip(t, v)], (1,))
         assert ex.aitken == pytest.approx(5.0, abs=1e-9)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            am.extrapolate([(0.1, 1.0, 0.0), (0.05, 1.0, 0.0), (0.025, 1.0, 0.0)])
+            am.extrapolate([(0.1, 1.0, 0.0), (0.05, 1.0, 0.0), (0.025, 1.0, 0.0)], (1,))
         with pytest.raises(ValueError):
             am.extrapolate([(0.05, 1.0, 0.0), (0.1, 1.0, 0.0),
-                            (0.025, 1.0, 0.0), (0.0125, 1.0, 0.0)])
+                            (0.025, 1.0, 0.0), (0.0125, 1.0, 0.0)], (1,))
 
     def test_noisy_flat_data_falls_back(self):
         rng = np.random.default_rng(3)
         t = np.array([0.1, 0.05, 0.02, 0.01, 0.005])
         v = 10.0 + rng.normal(0.0, 0.05, len(t))
-        ex = am.extrapolate([(ti, vi, 0.05) for ti, vi in zip(t, v)])
-        assert ex.fit_model in ("linear", "constant")
+        ex = am.extrapolate([(ti, vi, 0.05) for ti, vi in zip(t, v)], (1,))
+        assert ex.fit_model == "1, t"
         assert abs(ex.limit - 10.0) < 0.2
+
+
+class TestExpansionFit:
+    @pytest.mark.parametrize("powers, schedule", PATH_EXPANSIONS, ids=PATH_IDS)
+    def test_exact_polynomial_recovery(self, powers, schedule):
+        t = schedule.t_values
+        v = 3.0 + sum(c * t**q for c, q in zip((2.0, -1.5, 0.7), powers))
+        ex = am.extrapolate([(ti, vi, 1e-3) for ti, vi in zip(t, v)], powers)
+        assert ex.limit == pytest.approx(3.0, rel=1e-12, abs=0.0)
+        assert ex.fit_model == ", ".join(["1"] + [f"t^{q}" if q != 1 else "t" for q in powers])
+
+    def test_four_points_keep_one_degree_of_freedom(self):
+        # three of the fractional path's four powers fit four points: the
+        # standard error is that of weighted least squares with one degree
+        # of freedom, chi^2 not divided by zero
+        t = am.Schedule("s", (0.8, 0.88, 0.93, 0.96)).t_values
+        v = 1.0 + t + t**2 + np.array([0.02, -0.01, 0.015, -0.02])
+        ex = am.extrapolate([(ti, vi, 1e-3) for ti, vi in zip(t, v)], (1, 2, 3))
+        assert ex.fit_model == "1, t, t^2"
+        design = t[:, None] ** np.arange(3) / 1e-3
+        coef, chi2, *_ = np.linalg.lstsq(design, v / 1e-3, rcond=None)
+        cov = np.linalg.inv(np.einsum("ij,ik->jk", design, design))
+        assert ex.limit == pytest.approx(coef[0], rel=1e-10)
+        assert ex.limit_stderr == pytest.approx(math.sqrt(cov[0, 0] * chi2[0] / 1), rel=1e-8)
+        assert ex.residual == pytest.approx(math.sqrt(chi2[0] / 4), rel=1e-8)
+
+    @pytest.mark.parametrize("powers, schedule", PATH_EXPANSIONS, ids=PATH_IDS)
+    @given(data=st.data())
+    def test_limit_is_linear_in_the_values(self, powers, schedule, data):
+        # for fixed t and errors the limit is one linear combination of the
+        # values; errors stay above the 1e-12 * scale floor, so the weights
+        # do not move with the values.  Below the smallest normal number
+        # rounding is absolute, hence the tiny slack.
+        m = len(schedule.values)
+        floats = st.floats(-100.0, 100.0, allow_subnormal=False)
+        v1 = np.array(data.draw(st.lists(floats, min_size=m, max_size=m)))
+        v2 = np.array(data.draw(st.lists(floats, min_size=m, max_size=m)))
+        errors = data.draw(st.lists(st.floats(1e-6, 1.0), min_size=m, max_size=m))
+        alpha, beta = data.draw(st.floats(-10.0, 10.0)), data.draw(st.floats(-10.0, 10.0))
+
+        def limit(v):
+            return am.extrapolate(list(zip(schedule.t_values, v, errors)), powers).limit
+
+        combined = limit(alpha * v1 + beta * v2)
+        scale = abs(alpha) * np.max(np.abs(v1)) + abs(beta) * np.max(np.abs(v2))
+        assert (abs(combined - (alpha * limit(v1) + beta * limit(v2)))
+                <= 1e-12 * scale + np.finfo(float).tiny)
+
+    def test_one_ulp_moves_the_limit_by_rounding_only(self):
+        # the limit is a fixed combination of the values, so one ulp of each
+        # moves it by rounding only; a nonlinear power-law fit moves this
+        # study's limit by 8e-11
+        rep = am.run_study(am.modulated_gaussian(2, [1.0, 0.0]), am.rotational_potential(1.0),
+                           am.EuclideanBall(2), 2.0, "bbm", None,
+                           am.IntegrationBudget(outer="tensor", resolution=16, sphere_nodes=16),
+                           target_grid=am.GridSpec(resolution=16))
+        assert rep.extrapolation.fit_model == "1, t^2, t^4"
+        t = [pt.t for pt in rep.points]
+        v = np.array([pt.value for pt in rep.points])
+        errors = [pt.error for pt in rep.points]
+        assert am.extrapolate(list(zip(t, v, errors)), (2, 4)) == rep.extrapolation
+        moved = am.extrapolate(list(zip(t, np.nextafter(v, np.inf), errors)), (2, 4))
+        assert moved.limit != rep.extrapolation.limit
+        assert abs(moved.limit - rep.extrapolation.limit) <= 1e-13 * abs(rep.extrapolation.limit)
 
 
 class TestCompare:
     def test_exact_match_passes(self):
-        ex = am.Extrapolation(5.0, 1.0, 0.0, 5.0, 0.0, True, "power")
+        ex = am.Extrapolation(5.0, 0.0, 5.0, 0.0, "1, t")
         passed, _ = am.compare(ex, 5.0, 0.01)
         assert passed
 
     def test_two_percent_off_fails_at_one_percent(self):
-        ex = am.Extrapolation(5.1, 1.0, 0.0, 5.1, 1e-12, True, "power")
+        ex = am.Extrapolation(5.1, 0.0, 5.1, 1e-12, "1, t")
         passed, _ = am.compare(ex, 5.0, 0.01)
         assert not passed
 
     def test_two_percent_off_passes_at_three_percent(self):
-        ex = am.Extrapolation(5.1, 1.0, 0.0, 5.1, 1e-12, True, "power")
+        ex = am.Extrapolation(5.1, 0.0, 5.1, 1e-12, "1, t")
         passed, _ = am.compare(ex, 5.0, 0.03)
         assert passed
 
     def test_diagnostics_error_source(self):
         pts = [am.StudyPoint(0.1, 0.1, 5.2, 0.2, 5.2),
                am.StudyPoint(0.05, 0.05, 5.1, 0.1, 5.1)]
-        ex = am.Extrapolation(5.0, 1.0, 0.0, 5.0, 0.01, True, "power")
+        ex = am.Extrapolation(5.0, 0.0, 5.0, 0.01, "1, t")
         _, diag = am.compare(ex, 5.0, 0.02, pts)
         assert diag["dominant_error_source"] in ("quadrature", "schedule truncation")
 
@@ -133,6 +209,25 @@ class TestRunStudy:
             # energy for the mollified one
             expected = "p_local_energy" if kind == "bbm" else "local_energy"
             assert rep.study["target_mode"] == expected
+
+    @pytest.mark.parametrize("kind, smooth, family, schedule, model", [
+        ("gagliardo", True, None, None, "1, t, t^2, t^3"),
+        ("gagliardo", True, None, am.Schedule("s", (0.8, 0.88, 0.93, 0.96)), "1, t, t^2"),
+        ("bbm", True, am.LudwigFamily(2, 2.0), am.Schedule("n", (4, 8, 16, 32, 64)),
+         "1, t, t^2, t^3"),
+        ("bbm", True, None, None, "1, t^2, t^4"),
+        ("nguyen", True, None, None, "1, t"),
+        ("bbm", False, None, None, "1, t"),
+    ], ids=["gagliardo", "gagliardo-4pt", "ludwig", "shrinking", "nguyen", "indicator"])
+    def test_fit_follows_the_path(self, kind, smooth, family, schedule, model):
+        p = 2.0 if smooth else 1.0
+        u = am.zero_field(2) if smooth else am.indicator(am.unit_square())
+        rep = am.run_study(u, am.zero_potential(2), am.EuclideanBall(2), p, kind, schedule,
+                           am.IntegrationBudget(outer="tensor", resolution=8, sphere_nodes=8),
+                           tolerance=0.5, mollifier_family=family,
+                           target_grid=am.GridSpec(resolution=16))
+        assert rep.extrapolation.fit_model == model
+        assert rep.diagnostics["fit_model"] == model
 
     def test_report_round_trip(self):
         u0 = am.zero_field(2)

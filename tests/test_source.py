@@ -47,7 +47,7 @@ def test_no_unused_imports(path):
 # numpy names whose contractions dispatch to BLAS, whose results can depend on
 # the thread count; the modules below contract with einsum only
 BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot"}
-EINSUM_ONLY = ["functionals.py", "fields.py", "energy.py"]
+EINSUM_ONLY = ["functionals.py", "fields.py", "energy.py", "limits.py"]
 
 
 def blas_contractions(source: str) -> list[str]:
