@@ -89,8 +89,8 @@ def id2_rows(body, p: float, count: int, samples: int, seed: int, sigmas: float,
     the id2 check on ``count`` random vectors: do the Monte Carlo and sphere
     norms agree within ``sigmas`` combined errors?  Seeds derive from
     ``seed``, "id2" or "id2-vectors", and ``labels``."""
-    if body.dim > 4:  # before the Monte Carlo pass
-        raise ValueError(f"sphere rules stop at dimension 4; the body has dimension {body.dim}")
+    if body.dim > 3:  # before the Monte Carlo pass
+        raise ValueError(f"sphere rules stop at dimension 3; the body has dimension {body.dim}")
     ev = MomentNormEvaluator(body, p, BodyMonteCarlo(samples, derive_seed(seed, "id2", *labels)))
     rng = np.random.default_rng(derive_seed(seed, "id2-vectors", *labels))
     vs = rng.standard_normal((count, body.dim)) + 1j * rng.standard_normal((count, body.dim))

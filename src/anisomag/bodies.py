@@ -21,13 +21,6 @@ def unit_ball_volume(dim: int) -> float:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
-def sphere_surface_area(dim: int) -> float:
-    """Surface measure of S^{dim-1}; by convention |S^0| = 2 (counting measure)."""
-    if dim == 1:
-        return 2.0
-    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-
-
 def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
     """Coerce ``x`` to an (n, dim) float array; report whether input was a single vector."""
     arr = np.asarray(x, dtype=float)

@@ -15,9 +15,9 @@ import numpy as np
 
 from .bodies import ConvexBody, Polytope
 from .fields import ComplexField, MagneticPotential, VectorTestField, magnetic_gradient
-from .grids import trapezoid_grid
+from .grids import chunk_values, trapezoid_grid
 from .norms import SphereMomentKernel, adapted_moment_rule
-from .spheres import sphere_rule
+from .spheres import DEFAULT_NODES, sphere_rule
 
 # grid points per kernel call: keeps the (points, sphere nodes) temporaries at
 # a few MB; each point's value does not depend on it
@@ -33,23 +33,14 @@ class GridSpec:
     sphere_nodes: int = 0  # 0 = per-dimension default
 
 
-def _resolve_grid(u: ComplexField, grid: GridSpec):
-    radius = grid.radius if grid.radius is not None else u.support_radius
-    return trapezoid_grid(u.dim, radius, grid.resolution)
-
-
 def _integrate_gradient(u: ComplexField, a: MagneticPotential, grid: GridSpec, norm_pow):
     """integral of norm_pow(grad u - i A u) over the grid, _CHUNK points at a
     time; points outside the field's gradient band contribute 0."""
-    tg = _resolve_grid(u, grid)
-    values = np.zeros(len(tg.points))
-    idx = np.arange(len(tg.points))
-    if u.gradient_band is not None:
-        idx = idx[u.gradient_band(tg.points)]
-    for start in range(0, len(idx), _CHUNK):
-        sel = idx[start : start + _CHUNK]
-        values[sel] = norm_pow(magnetic_gradient(u, a, tg.points[sel]))
-    return tg.integrate(values)
+    radius = grid.radius if grid.radius is not None else u.support_radius
+    tg = trapezoid_grid(u.dim, radius, grid.resolution)
+    live = None if u.gradient_band is None else u.gradient_band(tg.points)
+    return tg.integrate(chunk_values(lambda x: norm_pow(magnetic_gradient(u, a, x)), tg.points,
+                                     live, _CHUNK))
 
 
 def local_energy(
@@ -76,9 +67,11 @@ def total_variation_smooth(
     """p = 1 local energy; route "split" integrates the real/imaginary parts.
 
     The split decomposes the covariant gradient into its real part
-    (grad Re u + A Im u) and imaginary part (grad Im u - A Re u), each
-    measured in the real moment-body norm on an independent quadrature rule;
-    both routes must agree to grid tolerance.
+    (grad Re u + A Im u) and imaginary part (grad Im u - A Re u) and measures
+    each in the real moment-body norm.  It uses a second sphere rule with 3/2
+    the nodes of the direct route's (``grid.sphere_nodes``, or
+    spheres.DEFAULT_NODES), so the two routes differ in their quadrature as
+    well as in their formula; they must agree to grid tolerance.
     """
     if route == "direct":
         return local_energy(u, a, body, 1.0, grid)
@@ -86,15 +79,10 @@ def total_variation_smooth(
         raise ValueError("route must be 'direct' or 'split'")
     if not u.smooth:
         raise ValueError("total variation (smooth) requires a smooth field")
-    nodes = grid.sphere_nodes or 0
-    alt = sphere_rule(body.dim, (nodes or _default_nodes(body.dim)) * 3 // 2, body=body)
+    alt = sphere_rule(body.dim, (grid.sphere_nodes or DEFAULT_NODES[body.dim]) * 3 // 2, body=body)
     kernel = SphereMomentKernel(body, 1.0, alt)
     return _integrate_gradient(
         u, a, grid, lambda mg: kernel.norms_pow_p(mg.real) + kernel.norms_pow_p(mg.imag))
-
-
-def _default_nodes(dim: int) -> int:
-    return {1: 2, 2: 2048, 3: 8192, 4: 32768}[dim]
 
 
 def anisotropic_perimeter(region: Polytope, body: ConvexBody) -> float:

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .bodies import Polytope
+from .grids import gauss_legendre
 from .spheres import sphere_rule
 
 GAUSSIAN_EFFECTIVE_RADIUS = 8.6  # exp(-R^2/2) < 1e-16 beyond this
@@ -293,7 +294,7 @@ def mollify(u: ComplexField, m: int, angular_nodes: int = 128) -> ComplexField:
     if m <= 0:
         raise ValueError("mollification index m must be a positive integer")
     dim = u.dim
-    ang = sphere_rule(dim, angular_nodes) if dim > 1 else sphere_rule(1)
+    ang = sphere_rule(dim, angular_nodes)
     if u.region is not None:
         return _mollify_indicator(u, m, ang)
     return _mollify_smooth(u, m, ang)
@@ -301,9 +302,7 @@ def mollify(u: ComplexField, m: int, angular_nodes: int = 128) -> ComplexField:
 
 def _mollify_smooth(u: ComplexField, m: int, ang) -> ComplexField:
     dim = u.dim
-    xg, wg = np.polynomial.legendre.leggauss(32)  # the radial rule on [0, 1]
-    rho = 0.5 * (xg + 1.0)
-    w_rho = 0.5 * wg
+    rho, w_rho = gauss_legendre(32, 0.0, 1.0)  # the radial rule
     base = _bump_profile(rho) * rho ** (dim - 1) * w_rho
     mass = float(np.einsum("i->", base)) * ang.total_weight()
     # y_k = (rho_i / m) sigma_j, value weights normalized to unit mass

@@ -44,7 +44,7 @@ import numpy as np
 
 from .bodies import ConvexBody, unit_ball_volume
 from .fields import ComplexField, MagneticPotential
-from .grids import midpoint_grid, trapezoid_grid
+from .grids import chunk_values, gauss_legendre, midpoint_grid, trapezoid_grid
 from .norms import scalar_mixed_modulus_pow
 from .seeding import derive_seed
 from .spheres import sphere_rule
@@ -174,6 +174,9 @@ def _validate(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget, 
     if budget.outer != "tensor":
         raise ValueError("indicator fields are integrated on midpoint grids and need "
                          "the 'tensor' outer scheme")
+    if budget.resolution < 2:
+        raise ValueError("indicator fields need a resolution of at least 2: the error "
+                         "estimate compares the grid with one at half the resolution")
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +336,6 @@ def _grid_blocks(count, m, k):
             for i in range(count) for j in range(0, m, step)]
 
 
-def _chunk_values(values_fn, points, live, chunk):
-    """values_fn(points) -> per-point inner values, called ``chunk`` points at
-    a time on the points the mask ``live`` selects (all if it is None); the
-    other points get 0."""
-    vals = np.zeros(len(points))
-    idx = np.arange(len(points)) if live is None else np.nonzero(live)[0]
-    for start in range(0, len(idx), chunk):
-        sel = idx[start : start + chunk]
-        vals[sel] = values_fn(points[sel])
-    return vals
-
-
 def _outer_integrate(values_fn, u, radius, budget, label, seed, chunk=_CHUNK):
     """Outer x-integral of a smooth field's integrand over the ball of ``radius``.
 
@@ -355,28 +346,28 @@ def _outer_integrate(values_fn, u, radius, budget, label, seed, chunk=_CHUNK):
     if budget.outer == "montecarlo":
         pts, rho = _mixture_samples(u.dim, radius, _importance_tau(u), budget.samples,
                                     derive_seed(budget.seed, label, seed))
-        weighted = _chunk_values(values_fn, pts, None, chunk) / rho
+        weighted = chunk_values(values_fn, pts, None, chunk) / rho
         mean = float(np.einsum("n->", weighted)) / len(weighted)
         return mean, float(np.std(weighted, ddof=1)) / math.sqrt(len(weighted))
     tg = trapezoid_grid(u.dim, radius, budget.resolution)
     live = np.einsum("nk,nk->n", tg.points, tg.points) <= radius**2
-    return tg.integrate(_chunk_values(values_fn, tg.points, live, chunk))
+    return tg.integrate(chunk_values(values_fn, tg.points, live, chunk))
 
 
 def _midpoint_integrate(values_fn, dim, radius, resolution, live, chunk):
     """Outer x-integral of an indicator path's integrand on cell-centered
     grids over [-radius, radius]^dim: the value at ``resolution`` and its
-    distance to the value at half of it (at least 8).  ``live(points)``
+    distance to the value at half of it.  ``live(points)``
     masks the nodes where the integrand can be nonzero; None keeps all."""
 
     def value_at(res):
         tg = midpoint_grid(dim, radius, res)
-        vals = _chunk_values(values_fn, tg.points, None if live is None else live(tg.points),
-                             chunk)
+        vals = chunk_values(values_fn, tg.points, None if live is None else live(tg.points),
+                            chunk)
         return float(np.einsum("n,n->", tg.weights, vals))
 
     fine = value_at(resolution)
-    return fine, abs(fine - value_at(max(resolution // 2, 8)))
+    return fine, abs(fine - value_at(resolution // 2))
 
 
 def _smooth_ray_integral(u, a, rule, h, h_weights, kernel_w, p, radius, budget, label, seed,
@@ -432,15 +423,13 @@ def _gagliardo_radial(p: float, s: float, h_max: float):
     breaks = [0.0, _RADIAL_FIRST_BREAK * h_max]
     while breaks[-1] < h_max:
         breaks.append(min(breaks[-1] * _RADIAL_PANEL_RATIO, h_max))
-    xg, wg = np.polynomial.legendre.leggauss(_RADIAL_ORDER)
     h_nodes, h_weights = [], []
     t_breaks = np.asarray(breaks) ** alpha
     for t_lo, t_hi in zip(t_breaks[:-1], t_breaks[1:]):
-        mid, half = 0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo)
-        t = mid + half * xg
+        t, w = gauss_legendre(_RADIAL_ORDER, t_lo, t_hi)
         with np.errstate(divide="ignore"):
             h_nodes.append(t ** (1.0 / alpha))
-        h_weights.append(half * wg / alpha)
+        h_weights.append(w / alpha)
     floor = 1e-7 * min(h_max, 1.0)
     return np.maximum(np.concatenate(h_nodes), floor), np.concatenate(h_weights)
 
@@ -738,9 +727,7 @@ def _bbm_shrinking_smooth(u, spec, budget, seed):
     g = body.gauge(rule.nodes)
     h_sup = 1.0 / (n * g)  # radial support endpoint per direction
     rho_const = spec.kind.family.height(n)
-    xg, wg = np.polynomial.legendre.leggauss(_RADIAL_ORDER)
-    xi = 0.5 * (xg + 1.0)
-    wxi = 0.5 * wg
+    xi, wxi = gauss_legendre(_RADIAL_ORDER, 0.0, 1.0)
     h_nodes = h_sup[:, None] * xi[None, :]  # (m, r)
     radius = u.support_radius + float(np.max(h_sup))
     # per-(sigma, h) quadrature weight: rho/g^p * h^(N-1) * dh
@@ -775,9 +762,7 @@ def _bbm_indicator(u, spec, budget):
         radius = u.support_radius + budget.margin
         h_cut = np.full(rule.size, radius + u.support_radius)
         live = None
-    xg, wg = np.polynomial.legendre.leggauss(_RADIAL_ORDER)
-    xi = 0.5 * (xg + 1.0)
-    wxi = 0.5 * wg
+    xi, wxi = gauss_legendre(_RADIAL_ORDER, 0.0, 1.0)
 
     # A = 0, shrinking family: the kernel difference is the 0/1 region flip
     # and the radial integral has an elementary primitive

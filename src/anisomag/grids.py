@@ -1,17 +1,51 @@
-"""Tensor-product grids over boxes, with nested coarse subsets.
+"""Interval and box rules, and the chunked sums over their nodes.
 
-Integrands here are smooth and compactly supported, so the trapezoid rule
-converges fast; the nested half-resolution subset gives a free discretization
-error estimate (same integrand evaluations, different weights).  Indicator
-pipelines use cell-centered grids instead, which never place nodes exactly on
-region boundaries.
+Every Gauss-Legendre rule of the package comes from here: ``leggauss`` on
+[-1, 1], cached per order, and ``gauss_legendre`` mapped to [a, b].  The box
+rules are tensor-product grids.  Integrands on the trapezoid grid are smooth
+and compactly supported, so the trapezoid rule converges fast; its nested
+half-resolution subset gives a free discretization error estimate (same
+integrand evaluations, different weights).  Indicator pipelines use
+cell-centered grids instead, which never place nodes exactly on region
+boundaries.  ``chunk_values`` evaluates an integrand on a grid's nodes a
+fixed number of points at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
+
+
+@lru_cache(maxsize=None)
+def leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    (adapted rules rebuild panels thousands of times); read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def gauss_legendre(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [a, b]."""
+    x, w = leggauss(order)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return mid + half * x, half * w
+
+
+def chunk_values(values_fn, points, live, chunk):
+    """values_fn(points) -> per-point values, called ``chunk`` points at a
+    time on the points the mask ``live`` selects (all if it is None); the
+    other points get 0."""
+    vals = np.zeros(len(points))
+    idx = np.arange(len(points)) if live is None else np.nonzero(live)[0]
+    for start in range(0, len(idx), chunk):
+        sel = idx[start : start + chunk]
+        vals[sel] = values_fn(points[sel])
+    return vals
 
 
 @dataclass(frozen=True)
@@ -30,6 +64,11 @@ class TensorGrid:
         return fine, abs(fine - coarse)
 
 
+def _mesh(axis: np.ndarray, dim: int) -> np.ndarray:
+    """The nodes of axis^dim as (n, dim) rows, the last coordinate fastest."""
+    return np.stack([m.ravel() for m in np.meshgrid(*([axis] * dim), indexing="ij")], axis=1)
+
+
 def _axis_trapezoid(radius: float, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.linspace(-radius, radius, resolution + 1)
     h = 2.0 * radius / resolution
@@ -44,29 +83,11 @@ def trapezoid_grid(dim: int, radius: float, resolution: int) -> TensorGrid:
     if resolution % 2 != 0:
         resolution += 1
     x, w = _axis_trapezoid(radius, resolution)
-    xc, wc = _axis_trapezoid(radius, resolution // 2)
-    axes = [x] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    weights = np.ones(points.shape[0])
-    idx_1d = np.arange(resolution + 1)
-    for d in range(dim):
-        shape = [1] * dim
-        shape[d] = resolution + 1
-        weights = weights * np.broadcast_to(w.reshape(shape), [resolution + 1] * dim).ravel()
-    even = idx_1d % 2 == 0
-    mask = np.ones(points.shape[0], dtype=bool)
-    for d in range(dim):
-        shape = [1] * dim
-        shape[d] = resolution + 1
-        mask &= np.broadcast_to(even.reshape(shape), [resolution + 1] * dim).ravel()
-    coarse_idx = np.nonzero(mask)[0]
-    cw = np.ones(len(coarse_idx))
-    for d in range(dim):
-        shape = [1] * dim
-        shape[d] = resolution // 2 + 1
-        cw = cw * np.broadcast_to(wc.reshape(shape), [resolution // 2 + 1] * dim).ravel()
-    return TensorGrid(points, weights, coarse_idx, cw)
+    _, wc = _axis_trapezoid(radius, resolution // 2)
+    coarse_idx = np.ravel_multi_index(_mesh(np.arange(0, resolution + 1, 2), dim).T,
+                                      (resolution + 1,) * dim)
+    weights, cw = (reduce(np.multiply.outer, [v] * dim).ravel() for v in (w, wc))
+    return TensorGrid(_mesh(x, dim), weights, coarse_idx, cw)
 
 
 def midpoint_grid(dim: int, radius: float, resolution: int) -> TensorGrid:
@@ -79,7 +100,5 @@ def midpoint_grid(dim: int, radius: float, resolution: int) -> TensorGrid:
     resolution = int(resolution)
     h = 2.0 * radius / resolution
     x = -radius + h * (np.arange(resolution) + 0.5)
-    mesh = np.meshgrid(*([x] * dim), indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    weights = np.full(points.shape[0], h**dim)
-    return TensorGrid(points, weights, None, None)
+    points = _mesh(x, dim)
+    return TensorGrid(points, np.full(points.shape[0], h**dim), None, None)

@@ -142,15 +142,14 @@ def adapted_moment_rule(body: ConvexBody, v: np.ndarray, order: int = 32) -> Sph
         angles = body.facet_angles()
         breaks = [] if angles is None else list(angles)
         for part in (v.real, v.imag):
-            norm = float(np.sqrt(part @ part))
+            norm = math.sqrt(np.einsum("k,k->", part, part))
             if norm > 0.0:
                 phi = math.atan2(part[1], part[0])
                 breaks.extend([phi + math.pi / 2.0, phi - math.pi / 2.0])
         if not breaks:
             breaks = [0.0, math.pi]
         return circle_panels(breaks, order)
-    re_n = float(np.sqrt(v.real @ v.real))
-    im_n = float(np.sqrt(v.imag @ v.imag))
+    re_n, im_n = (math.sqrt(np.einsum("k,k->", part, part)) for part in (v.real, v.imag))
     if max(re_n, im_n) == 0.0:
         return sphere_rule(dim)
     axis = v.real if re_n >= im_n else v.imag
@@ -161,8 +160,8 @@ class SphereMomentKernel:
     """Precomputed surface rule for ||.||_{p,K}^p of batches of complex vectors.
 
     Stores the rule nodes together with weights/gauge^(N+p) so a norm
-    evaluation is a single contraction.  Shared by the local-energy and
-    nonlocal-functional integrators.
+    evaluation is a single contraction.  Used by the local energies, the
+    anisotropic perimeter, moment_norm_sphere and dual_norm_z1.
     """
 
     def __init__(self, body: ConvexBody, p: float, rule: SphereRule | None = None):

@@ -4,18 +4,21 @@ Conventions: weights sum to the surface measure |S^{N-1}|, and S^0 = {-1, +1}
 carries counting measure (each node weight 1).  N = 2 uses the periodic
 trapezoid rule, or composite Gauss-Legendre panels aligned with a polytope's
 facet switches when the integrand has gauge kinks; N = 3 uses a
-Gauss-Legendre x trapezoid product grid; N = 4 falls back to Monte Carlo.
+Gauss-Legendre x trapezoid product grid.  There are no rules beyond N = 3.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .bodies import ConvexBody, sphere_surface_area
+from .bodies import ConvexBody
+from .grids import gauss_legendre, leggauss
+
+# default node counts of sphere_rule, per dimension
+DEFAULT_NODES = {1: 2, 2: 4096, 3: 8192}
 
 
 @dataclass(frozen=True)
@@ -55,28 +58,15 @@ def circle_trapezoid(n: int, with_coarse: bool = True) -> SphereRule:
     return SphereRule(2, nodes, weights, f"trapezoid({n})", coarse)
 
 
-@lru_cache(maxsize=None)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
-    (adapted rules rebuild panels thousands of times); read-only."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-def _gauss_legendre(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _leggauss(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
-
-
 def circle_panels(breakpoints, nodes_per_panel: int = 16, with_coarse: bool = True) -> SphereRule:
     """Composite Gauss-Legendre panels between the given angles on the circle.
 
     Used for polytope gauges: within each panel a single facet is active, so
-    the integrand is smooth there.
+    the integrand is smooth there.  The coarse rule has half the nodes per
+    panel, so it needs at least 2.
     """
+    if with_coarse and nodes_per_panel < 2:
+        raise ValueError("a panel rule with a coarse rule needs at least 2 nodes per panel")
     br = np.sort(np.mod(np.asarray(breakpoints, dtype=float), 2.0 * math.pi))
     br = np.unique(np.round(br, 12))
     if len(br) < 2:
@@ -84,23 +74,19 @@ def circle_panels(breakpoints, nodes_per_panel: int = 16, with_coarse: bool = Tr
     edges = np.concatenate([br, [br[0] + 2.0 * math.pi]])
     thetas, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
-        t, w = _gauss_legendre(nodes_per_panel, a, b)
+        t, w = gauss_legendre(nodes_per_panel, a, b)
         thetas.append(t)
         weights.append(w)
     theta = np.concatenate(thetas)
     w = np.concatenate(weights)
     nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    coarse = (
-        circle_panels(breakpoints, max(4, nodes_per_panel // 2), with_coarse=False)
-        if with_coarse
-        else None
-    )
+    coarse = circle_panels(breakpoints, nodes_per_panel // 2, False) if with_coarse else None
     return SphereRule(2, nodes, w, f"panels({len(br)}x{nodes_per_panel})", coarse)
 
 
 def sphere_product(n_polar: int = 64, n_azimuth: int = 128, with_coarse: bool = True) -> SphereRule:
     """Gauss-Legendre in cos(polar angle) x trapezoid in azimuth on S^2."""
-    t, wt = _leggauss(n_polar)  # t = cos(phi) on [-1, 1]
+    t, wt = leggauss(n_polar)  # t = cos(phi) on [-1, 1]
     theta = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
     w_theta = 2.0 * math.pi / n_azimuth
     sin_phi = np.sqrt(1.0 - t**2)
@@ -126,65 +112,39 @@ def slice_rule(dim: int, axis, order: int = 64, with_coarse: bool = True) -> Sph
     """
     from .bodies import _hyperplane_basis
 
+    if dim != 3:
+        raise ValueError(f"slice rules implemented for dimension 3 only, got dimension {dim}")
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-    if dim < 3:
-        raise ValueError("slice rules need dimension >= 3")
-    xg, wg = _leggauss(order)
+    xg, wg = leggauss(order)
     phi = np.concatenate([0.25 * math.pi * (xg + 1.0), 0.25 * math.pi * (xg + 3.0)])
     wphi = np.concatenate([0.25 * math.pi * wg, 0.25 * math.pi * wg])
-    t = np.cos(phi)
-    wt = wphi * np.sin(phi) ** (dim - 2)
-    if dim == 3:
-        cross = circle_trapezoid(max(order, 16), with_coarse=False)
-    elif dim == 4:
-        cross = sphere_product(max(order // 2, 8), max(order, 16), with_coarse=False)
-    else:
-        raise ValueError("slice rules implemented for dimensions 3 and 4")
-    basis = _hyperplane_basis(axis)
-    eta = np.einsum("me,ek->mk", cross.nodes, basis)
     sin_phi = np.sin(phi)
-    nodes = (t[:, None, None] * axis[None, None, :]
+    cross = circle_trapezoid(max(order, 16), with_coarse=False)
+    eta = np.einsum("me,ek->mk", cross.nodes, _hyperplane_basis(axis))
+    nodes = (np.cos(phi)[:, None, None] * axis[None, None, :]
              + sin_phi[:, None, None] * eta[None, :, :]).reshape(-1, dim)
-    weights = (wt[:, None] * cross.weights[None, :]).ravel()
+    weights = ((wphi * sin_phi)[:, None] * cross.weights[None, :]).ravel()
     coarse = slice_rule(dim, axis, order // 2, with_coarse=False) if with_coarse and order >= 16 else None
     return SphereRule(dim, nodes, weights, f"slice({order})", coarse)
-
-
-def sphere_monte_carlo(dim: int, n: int, seed: int) -> SphereRule:
-    """Equal-weight Monte Carlo nodes on S^{dim-1} (used at dim >= 4)."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, dim))
-    g /= np.sqrt(np.einsum("nk,nk->n", g, g))[:, None]
-    weights = np.full(n, sphere_surface_area(dim) / n)
-    coarse = None
-    if n >= 16:
-        half = n // 2
-        coarse = SphereRule(
-            dim, g[:half], np.full(half, sphere_surface_area(dim) / half), f"mc({half})"
-        )
-    return SphereRule(dim, g, weights, f"mc({n})", coarse)
 
 
 def sphere_rule(dim: int, n: int = 0, body: ConvexBody | None = None) -> SphereRule:
     """Default rule for integrating gauge-weighted integrands on S^{dim-1}.
 
-    ``n`` is the target node count (0 picks the per-dimension default).  When
+    ``n`` is the target node count (0 picks DEFAULT_NODES[dim]).  When
     ``body`` is a 2-D polytope, panels are aligned with its facet switches.
     """
+    if dim not in DEFAULT_NODES:
+        raise ValueError(f"sphere rules implemented for dimensions 1 through 3, got {dim}")
+    n = n or DEFAULT_NODES[dim]
     if dim == 1:
         return counting_rule_1d()
     if dim == 2:
-        n = n or 4096
         angles = body.facet_angles() if body is not None else None
         if angles is not None:
             per_panel = max(8, int(round(n / len(angles))))
             return circle_panels(angles, per_panel)
         return circle_trapezoid(n)
-    if dim == 3:
-        n = n or 8192
-        n_polar = max(8, int(round(math.sqrt(n / 2.0))))
-        return sphere_product(n_polar, 2 * n_polar)
-    if dim == 4:
-        return sphere_monte_carlo(4, n or 32768, 0)
-    raise ValueError("sphere rules implemented for dimensions 1 through 4")
+    n_polar = max(8, int(round(math.sqrt(n / 2.0))))
+    return sphere_product(n_polar, 2 * n_polar)

@@ -170,6 +170,14 @@ class TestNorms:
         })
         assert_config_error(run_cli("norms", "--config", cfg), "2 components")
 
+    def test_four_dimensional_body_exits_2(self, tmp_path):
+        # the sphere route has rules for dimensions 1-3 only
+        cfg = write_config(tmp_path / "cfg.json", {
+            "schema_version": 1, "body": {"shape": "ball", "dim": 4}, "p": 2.0,
+            "vectors": [[1.0, 0.0, 0.0, 0.0]],
+        })
+        assert_config_error(run_cli("norms", "--config", cfg), "dimension 3", "dimension 4")
+
 
 class TestCheckId2:
     @pytest.mark.parametrize("body", [
@@ -215,8 +223,16 @@ class TestCheckId2:
         assert_config_error(run_cli("check-id2", "--config", cfg),
                             "one sample has no standard error")
 
+    def test_four_dimensional_body_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "schema_version": 1, "body": {"shape": "ball", "dim": 4}, "p": 2.0, "count": 2,
+            "samples": 64,
+        })
+        assert_config_error(run_cli("check-id2", "--config", cfg), "dimension 3",
+                            "dimension 4")
+
     def test_five_dimensional_body_exits_2(self, tmp_path):
-        # the sphere rules stop at N = 4
+        # the sphere rules stop at N = 3
         cfg = write_config(tmp_path / "cfg.json", {
             "schema_version": 1, "body": {"shape": "ball", "dim": 5}, "p": 2.0, "count": 2,
             "samples": 64,

@@ -99,6 +99,22 @@ class TestTotalVariation:
         assert direct == pytest.approx(p1, rel=1e-12)
         assert split == pytest.approx(direct, rel=1e-6)
 
+    def test_split_route_has_half_again_the_nodes(self, monkeypatch):
+        from anisomag import energy
+
+        sizes, real = [], energy.sphere_rule
+
+        def recorded(*args, **kwargs):
+            rule = real(*args, **kwargs)
+            sizes.append(rule.size)
+            return rule
+
+        monkeypatch.setattr(energy, "sphere_rule", recorded)
+        u, zero, grid = am.gaussian(2), am.zero_potential(2), am.GridSpec(resolution=8)
+        for route in ("direct", "split"):
+            am.total_variation_smooth(u, zero, am.EuclideanBall(2), grid, route=route)
+        assert sizes == [4096, 6144]
+
     def test_magnetic_split_cross_check(self):
         u = am.gaussian(2)
         a = am.rotational_potential(1.0)

@@ -13,17 +13,23 @@ rotational potential of strength b, the local energy is
 
     E = 1/2 int_S g^(-4) (pi/2 + pi b^2/8 + pi (k.sigma)^2) dsigma,
 
-and the shrinking-family study tends to p E.  The sphere integrals are 1-D
-quadratures here, independent of the package's sphere rules.
+and the shrinking-family study tends to p E.  Its value at each n is
+
+    int_S int_0^(1/(n g)) F(r sigma) N n^N r^(N-3) g^(-2) dr dsigma,
+    F(h) = 2 pi (1 - cos(k.h) exp(-(1/4 + b^2/16) |h|^2)).
+
+The sphere integrals are 1-D quadratures here, independent of the package's
+sphere rules.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma
+from scipy.special import gamma, roots_legendre
 
 import anisomag as am
 
@@ -64,6 +70,25 @@ def test_fractional_gaussian(name, body):
     assert abs(ex.limit - limit) <= 3.0 * ex.limit_stderr
 
 
+def shrinking_point(body, n, wave, b):
+    """The shrinking-family value at n for the modulated gaussian of wave
+    vector ``wave`` under the rotational potential of strength ``b`` (N = 2).
+    The r-integrand F(r sigma) / r is entire, so a 64-node Gauss rule on
+    [0, 1/(n g)] is exact to rounding."""
+    x, w = roots_legendre(64)
+    decay = 0.25 + b * b / 16.0
+
+    def radial(c, s, g):
+        half = 0.5 / (n * g)
+        r = half * (x + 1.0)
+        kh = (wave[0] * c + wave[1] * s) * r
+        # 1 - cos(kh) e^(-decay r^2), written without cancellation at small r
+        f = -np.expm1(-decay * r * r) + 2.0 * np.exp(-decay * r * r) * np.sin(0.5 * kh) ** 2
+        return 2.0 * n * n * g**-2.0 * half * float(np.sum(w * 2.0 * math.pi * f / r))
+
+    return sphere_integral(body, radial)
+
+
 @pytest.mark.parametrize("name, body", BODIES, ids=[b[0] for b in BODIES])
 def test_shrinking_magnetic(name, body):
     p, wave, b = 2.0, (1.0, 0.0), 1.0
@@ -74,5 +99,8 @@ def test_shrinking_magnetic(name, body):
     energy = 0.5 * sphere_integral(body, lambda c, sn, g: g**-4.0 * (
         math.pi / 2.0 + math.pi * b * b / 8.0 + math.pi * (wave[0] * c + wave[1] * sn) ** 2))
     assert rep.target == pytest.approx(p * energy, rel=1e-12)
+    for pt in rep.points:
+        exact = shrinking_point(body, pt.parameter, wave, b)
+        assert abs(pt.value - exact) <= 3.0 * pt.error, pt.parameter
     ex = rep.extrapolation
     assert abs(ex.limit - p * energy) <= 3.0 * ex.limit_stderr

@@ -727,6 +727,30 @@ class TestIndicatorFrozenValues:
         assert repr(got) == "(43.82448617058196, 23.55325689772127)"
 
 
+class TestIndicatorErrorEstimate:
+    """The indicator paths compare the grid at ``resolution`` with the grid at
+    half of it; a floor at resolution 8 would compare the grid at 8 with
+    itself and report an error of 0."""
+
+    @pytest.mark.parametrize("kind", [am.Bbm(am.ShrinkingUniformFamily(2, 1.0), 4),
+                                      am.Gagliardo(0.5)])
+    def test_half_resolution_at_8(self, kind):
+        spec = am.FunctionalSpec(kind, 1.0, am.EuclideanBall(2), am.zero_potential(2))
+        fn = am.bbm if isinstance(kind, am.Bbm) else am.gagliardo
+        u = am.indicator(am.unit_square())
+        value, error = fn(u, spec, am.IntegrationBudget(resolution=8))
+        coarse, _ = fn(u, spec, am.IntegrationBudget(resolution=4))
+        assert error == abs(value - coarse) > 0.0
+
+    def test_resolution_below_2_rejected(self):
+        spec = am.FunctionalSpec(am.Gagliardo(0.5), 1.0, am.EuclideanBall(2),
+                                 am.zero_potential(2))
+        u = am.indicator(am.unit_square())
+        with pytest.raises(ValueError, match="resolution of at least 2"):
+            am.gagliardo(u, spec, am.IntegrationBudget(resolution=1))
+        am.gagliardo(u, spec, am.IntegrationBudget(resolution=2))
+
+
 def _frozen_case(name):
     ball, square = am.EuclideanBall(2), am.cube(2)
     rot, zero = am.rotational_potential(1.0), am.zero_potential(2)

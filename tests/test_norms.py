@@ -17,7 +17,7 @@ from scipy.special import gamma
 import anisomag as am
 from anisomag.norms import ROUNDING_FLOOR
 from anisomag.seeding import derive_seed
-from anisomag.spheres import sphere_rule
+from anisomag.spheres import DEFAULT_NODES, circle_panels, slice_rule, sphere_rule
 
 
 def kpn_closed_form(p: float, dim: int) -> float:
@@ -90,6 +90,34 @@ class TestKpnConstant:
                     proj = np.abs(np.einsum("mk,k->m", rule.nodes, w)) ** p
                     val = float(np.einsum("m,m->", proj, rule.weights)) / p
                     assert abs(val - closed) <= 1e-4 * closed
+
+
+class TestSphereRules:
+    def test_default_node_counts(self):
+        for dim in (2, 3):
+            assert sphere_rule(dim).size == DEFAULT_NODES[dim]
+
+    @pytest.mark.parametrize("dim", [0, 4, 5])
+    def test_dimensions_one_to_three_only(self, dim):
+        with pytest.raises(ValueError, match="dimensions 1 through 3"):
+            sphere_rule(dim)
+
+    def test_slice_rule_is_three_dimensional(self):
+        assert slice_rule(3, [0.0, 0.0, 1.0], 16).dim == 3
+        with pytest.raises(ValueError, match="dimension 3 only"):
+            slice_rule(4, [0.0, 0.0, 0.0, 1.0], 16)
+
+    def test_panel_coarse_rule_halves_the_nodes(self):
+        # at 4 nodes per panel a coarse rule floored at 4 would be the fine
+        # rule, and its error estimate 0
+        breaks = [0.3, 2.0, 4.5]
+        for per_panel in (2, 4, 9, 16):
+            rule = circle_panels(breaks, per_panel)
+            assert rule.coarse.size == 3 * (per_panel // 2)
+            assert rule.coarse.total_weight() == pytest.approx(2.0 * math.pi, rel=1e-14)
+        with pytest.raises(ValueError, match="2 nodes per panel"):
+            circle_panels(breaks, 1)
+        assert circle_panels(breaks, 1, with_coarse=False).size == 3
 
 
 class TestMomentNorm:

@@ -47,7 +47,8 @@ def test_no_unused_imports(path):
 # numpy names whose contractions dispatch to BLAS, whose results can depend on
 # the thread count; the modules below contract with einsum only
 BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot"}
-EINSUM_ONLY = ["functionals.py", "fields.py", "energy.py", "limits.py"]
+EINSUM_ONLY = ["functionals.py", "fields.py", "energy.py", "limits.py", "grids.py", "spheres.py",
+               "norms.py"]
 
 
 def blas_contractions(source: str) -> list[str]:
@@ -78,6 +79,30 @@ def test_checker_finds_blas_contractions():
 @pytest.mark.parametrize("name", EINSUM_ONLY)
 def test_einsum_only_contractions(name):
     assert blas_contractions((PACKAGE / name).read_text()) == []
+
+
+def leggauss_uses(source: str) -> list[int]:
+    """Lines of ``source`` that reach numpy's Gauss-Legendre rule: an
+    attribute named leggauss, or a numpy import of that name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "leggauss":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            lines += [node.lineno for alias in node.names if alias.name == "leggauss"]
+    return sorted(lines)
+
+
+def test_checker_finds_leggauss():
+    src = ("import numpy as np\nfrom numpy.polynomial.legendre import leggauss\n"
+           "x = np.polynomial.legendre.leggauss(8)\nfrom .grids import leggauss\n")
+    assert leggauss_uses(src) == [2, 3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_gauss_legendre_built_in_grids_only(path):
+    # every interval rule comes from grids.leggauss / grids.gauss_legendre
+    assert bool(leggauss_uses(path.read_text())) == (path.name == "grids.py")
 
 
 @pytest.mark.parametrize("module", ["anisomag", "anisomag.cli"])
