@@ -8,9 +8,9 @@ fields.psi, and one ray kernel, _diff_pow, computes it wherever a field is
 evaluated along rays: on the (point, sigma, h) grids, at the threshold scan's
 split nodes and in its root finding.
 
-* fractional seminorm: graded Gauss-Legendre panels in t = h^(p(1-s)), which
-  flattens the endpoint singularity; the far tail where u(y) vanishes is
-  added in closed form.
+* fractional seminorm: a Gauss-Jacobi panel near h = 0 carries the endpoint
+  weight h^(p(1-s)-1) exactly, and geometric Gauss-Legendre panels cover the
+  rest; the far tail where u(y) vanishes is added in closed form.
 * threshold functional: the superlevel set of the kernel difference is
   bracketed on a graded scan grid, each crossing is located by Illinois steps
   from the scan's values, then h^(-1-p) is integrated exactly over the
@@ -27,11 +27,14 @@ split nodes and in its root finding.
 
 On smooth fields the fractional and mollified functionals share one driver,
 _smooth_ray_integral (outer rule x sphere rule x radial rule).  The outer
-x-integral runs through one chunk loop: for smooth fields _outer_integrate (a
-trapezoid grid, or defensive importance sampling, on a ball), for indicators
-_midpoint_integrate (cell-centered grids at two resolutions).  Grid
-evaluations report |value(res) - value(res/2)|; Monte Carlo evaluations
-report the sample standard error.  Neither estimate is optional.
+x-integral runs through one chunk loop: for smooth fields _outer_integrate (on
+a ball: a ball rule, Gauss-Legendre in r times a sphere rule, for the
+fractional seminorm and the Ludwig family; a trapezoid grid for the other
+functionals; or defensive importance sampling), for indicators
+_midpoint_integrate (cell-centered grids at two resolutions).  Rule
+evaluations report the distance to the same integral on a rule with half the
+nodes; Monte Carlo evaluations report the sample standard error.  Neither
+estimate is optional.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 
 from .bodies import ConvexBody, unit_ball_volume
 from .fields import ComplexField, MagneticPotential
-from .grids import chunk_values, gauss_legendre, midpoint_grid, trapezoid_grid
+from .grids import chunk_values, gauss_jacobi, gauss_legendre, midpoint_grid, trapezoid_grid
 from .norms import scalar_mixed_modulus_pow
 from .seeding import derive_seed
 from .spheres import sphere_rule
@@ -163,6 +166,11 @@ def _validate(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget, 
     if u.dim != spec.body.dim:
         raise ValueError("field dimension does not match the body")
     if u.smooth:
+        fractional = isinstance(spec.kind, Gagliardo) or (
+            isinstance(spec.kind, Bbm) and isinstance(spec.kind.family, LudwigFamily))
+        if fractional and budget.outer == "tensor" and budget.resolution < 8:
+            raise ValueError("the ball rule needs a resolution of at least 8: its error "
+                             "estimate compares it with a rule on half the circle nodes")
         return
     if isinstance(spec.kind, Nguyen):
         raise ValueError("indicator fields are rejected by the threshold functional "
@@ -187,9 +195,18 @@ def _validate(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget, 
 class IntegrationBudget:
     """Quadrature configuration for one functional evaluation.
 
-    ``outer`` selects the x-scheme: "tensor" (trapezoid / cell-centered grid,
-    error = two-resolution difference) or "montecarlo" (importance samples on
-    the ball, error = standard error; smooth fields only).
+    ``outer`` selects the x-scheme: "tensor" (error = the difference to a
+    rule with half the nodes) or "montecarlo" (importance samples on the
+    ball, error = standard error; smooth fields only).  Under "tensor",
+    ``resolution`` is, per route:
+
+    * fractional seminorm and Ludwig family on smooth fields: the nodes on a
+      great circle of the ball rule's sphere rule (resolution on the circle,
+      resolution^2 / 2 on S^2), with 2 * resolution // 3 Gauss-Legendre
+      nodes in r; at least 8;
+    * the other functionals on smooth fields: the trapezoid grid's intervals
+      along each axis of the box around the ball;
+    * indicator fields: the cell-centered grid's cells along each axis.
     ``scan_max_step`` caps the threshold scan's step (by default it follows
     max |A|); ``margin`` widens the x-domain beyond the field support where
     the integrand is not symmetric in x and y.
@@ -247,11 +264,12 @@ _SCAN_STRIDE = 32
 _SCAN_RATIO = 1.05
 _SCAN_MIN_FACTOR = 1e-6
 _ROOT_MAX_ITERS = 64
-# Gauss-Legendre order of the radial panels; the fractional seminorm's panels
-# start at _RADIAL_FIRST_BREAK * h_max and grow by _RADIAL_PANEL_RATIO
+# Gauss-Legendre order of the mollified functional's radial rules, and the
+# Gauss-Jacobi order of the fractional seminorm's first radial panel; its
+# _RADIAL_PANELS geometric Gauss-Legendre panels beyond have _PANEL_ORDER nodes
 _RADIAL_ORDER = 12
-_RADIAL_PANEL_RATIO = 1.8
-_RADIAL_FIRST_BREAK = 1e-3
+_RADIAL_PANELS = 6
+_PANEL_ORDER = 8
 
 
 def _mixture_samples(dim: int, radius: float, tau: float, count: int, seed: int):
@@ -336,12 +354,26 @@ def _grid_blocks(count, m, k):
             for i in range(count) for j in range(0, m, step)]
 
 
-def _outer_integrate(values_fn, u, radius, budget, label, seed, chunk=_CHUNK):
+def _ball_rule(radius, n_r, rule):
+    """Points r_i sigma_j and weights w_i r_i^(N-1) omega_j of the ball of
+    ``radius``: ``n_r`` Gauss-Legendre nodes r_i on [0, radius] times the
+    sphere rule's nodes sigma_j."""
+    r, w = gauss_legendre(n_r, 0.0, radius)
+    points = np.einsum("i,jk->ijk", r, rule.nodes).reshape(-1, rule.dim)
+    return points, np.einsum("i,j->ij", w * r ** (rule.dim - 1), rule.weights).ravel()
+
+
+def _outer_integrate(values_fn, u, radius, budget, label, seed, chunk=_CHUNK, ball=False):
     """Outer x-integral of a smooth field's integrand over the ball of ``radius``.
 
-    "tensor" skips the trapezoid nodes outside the ball, where the spherical
-    decomposition does not hold; "montecarlo" draws the defensive gaussian
-    mixture of width _importance_tau(u) with the seed derived from ``label``/``seed``.
+    "tensor" is the ball rule when ``ball`` is set (node counts as in
+    IntegrationBudget), with error |Q - Q_half| against half the r-nodes and
+    the sphere rule's coarse rule; it suits the fractional integrand, of
+    order radius^(-N-ps) at |x| = radius.  Otherwise "tensor" skips the
+    trapezoid nodes outside the ball, where the spherical decomposition does
+    not hold, which is spectral for integrands that vanish smoothly there.
+    "montecarlo" draws the defensive gaussian mixture of width
+    _importance_tau(u) with the seed derived from ``label``/``seed``.
     """
     if budget.outer == "montecarlo":
         pts, rho = _mixture_samples(u.dim, radius, _importance_tau(u), budget.samples,
@@ -349,6 +381,15 @@ def _outer_integrate(values_fn, u, radius, budget, label, seed, chunk=_CHUNK):
         weighted = chunk_values(values_fn, pts, None, chunk) / rho
         mean = float(np.einsum("n->", weighted)) / len(weighted)
         return mean, float(np.std(weighted, ddof=1)) / math.sqrt(len(weighted))
+    if ball:
+        n = budget.resolution
+        rule, n_r = sphere_rule(u.dim, n if u.dim < 3 else n * n // 2), 2 * n // 3
+        # the counting rule of S^0 is exact and has no coarse rule
+        (fine, w_fine), (half, w_half) = (_ball_rule(radius, n_r, rule),
+                                          _ball_rule(radius, n_r // 2, rule.coarse or rule))
+        vals = chunk_values(values_fn, np.concatenate([fine, half]), None, chunk)
+        q = float(np.einsum("n,n->", w_fine, vals[: len(fine)]))
+        return q, abs(q - float(np.einsum("n,n->", w_half, vals[len(fine):])))
     tg = trapezoid_grid(u.dim, radius, budget.resolution)
     live = np.einsum("nk,nk->n", tg.points, tg.points) <= radius**2
     return tg.integrate(chunk_values(values_fn, tg.points, live, chunk))
@@ -371,7 +412,7 @@ def _midpoint_integrate(values_fn, dim, radius, resolution, live, chunk):
 
 
 def _smooth_ray_integral(u, a, rule, h, h_weights, kernel_w, p, radius, budget, label, seed,
-                         doubled=False, tail=None):
+                         doubled=False, tail=None, ball=False):
     """Outer rule x sphere rule x radial rule for a smooth field: the outer
     x-integral over the ball of ``radius`` of
 
@@ -381,7 +422,8 @@ def _smooth_ray_integral(u, a, rule, h, h_weights, kernel_w, p, radius, budget, 
     views of nodes shared by every direction.  ``doubled`` counts twice the
     pairs whose y lies outside the support of u, which a symmetric integrand
     meets from both ends but the outer rule covers from x only; ``tail`` adds
-    tail * |u(x)|_p^p.  The step planes are built once per call.
+    tail * |u(x)|_p^p; ``ball`` selects _outer_integrate's ball rule.  The
+    step planes are built once per call.
     """
     steps = rule.nodes.T[:, :, None] * h
     half_steps = None if a.is_zero else rule.nodes.T[:, :, None] * (0.5 * h)
@@ -405,7 +447,7 @@ def _smooth_ray_integral(u, a, rule, h, h_weights, kernel_w, p, radius, budget, 
             return vals
         return vals + scalar_mixed_modulus_pow(ux, p) * tail
 
-    return _outer_integrate(values_fn, u, radius, budget, label, seed)
+    return _outer_integrate(values_fn, u, radius, budget, label, seed, ball=ball)
 
 
 # ---------------------------------------------------------------------------
@@ -413,25 +455,24 @@ def _smooth_ray_integral(u, a, rule, h, h_weights, kernel_w, p, radius, budget, 
 
 
 def _gagliardo_radial(p: float, s: float, h_max: float):
-    """Nodes/weights for integral_0^H q(h)^p h^(p(1-s)-1) dh via t = h^(p(1-s)).
+    """Nodes/weights for integral_0^H q(h)^p h^(alpha-1) dh, alpha = p(1-s).
 
-    Nodes in the first panel can map to h far below float resolution of the
-    difference quotient q; they are clamped at a floor where q is still
-    accurate (q extends continuously to h = 0, so the clamp error is O(floor)).
+    One Gauss-Jacobi panel on [0, h_1], h_1 = min(1, H), carries the weight
+    h^(alpha-1) exactly, so the smooth difference quotient q is all it
+    integrates; _RADIAL_PANELS Gauss-Legendre panels in geometric progression
+    cover [h_1, H].  Every node is positive: at s = 0.995 and p = 2 the
+    smallest is 7e-5 h_1, where q keeps about 12 digits.
     """
     alpha = p * (1.0 - s)
-    breaks = [0.0, _RADIAL_FIRST_BREAK * h_max]
-    while breaks[-1] < h_max:
-        breaks.append(min(breaks[-1] * _RADIAL_PANEL_RATIO, h_max))
-    h_nodes, h_weights = [], []
-    t_breaks = np.asarray(breaks) ** alpha
-    for t_lo, t_hi in zip(t_breaks[:-1], t_breaks[1:]):
-        t, w = gauss_legendre(_RADIAL_ORDER, t_lo, t_hi)
-        with np.errstate(divide="ignore"):
-            h_nodes.append(t ** (1.0 / alpha))
-        h_weights.append(w / alpha)
-    floor = 1e-7 * min(h_max, 1.0)
-    return np.maximum(np.concatenate(h_nodes), floor), np.concatenate(h_weights)
+    h_1 = min(1.0, h_max)
+    x, w = gauss_jacobi(_RADIAL_ORDER, alpha - 1.0)
+    h_nodes, h_weights = [0.5 * h_1 * (1.0 + x)], [(0.5 * h_1) ** alpha * w]
+    breaks = h_1 * (h_max / h_1) ** (np.arange(_RADIAL_PANELS + 1) / _RADIAL_PANELS)
+    for lo, hi in zip(breaks[:-1], breaks[1:]) if h_max > h_1 else ():
+        h, wh = gauss_legendre(_PANEL_ORDER, lo, hi)
+        h_nodes.append(h)
+        h_weights.append(wh * h ** (alpha - 1.0))
+    return np.concatenate(h_nodes), np.concatenate(h_weights)
 
 
 def _gagliardo_like(u, a, body, p, s, budget, seed):
@@ -455,7 +496,7 @@ def _gagliardo_like(u, a, body, p, s, budget, seed):
     return _smooth_ray_integral(u, a, rule, np.broadcast_to(h_nodes, shape),
                                 np.broadcast_to(h_weights, shape), kernel_w, p, radius, budget,
                                 "gagliardo", seed, doubled=symmetric,
-                                tail=tail * (2.0 if symmetric else 1.0))
+                                tail=tail * (2.0 if symmetric else 1.0), ball=True)
 
 
 def _gagliardo_indicator(u, s, budget, rule, kernel_w):

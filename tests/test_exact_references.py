@@ -24,6 +24,7 @@ sphere rules.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from scipy.special import gamma, roots_legendre
 import anisomag as am
 
 BODIES = [("ball", am.EuclideanBall(2)), ("square", am.cube(2))]
+FRACTIONAL_BODIES = BODIES + [("ellipse", am.Ellipsoid.from_semi_axes([2.0, 1.0]))]
 
 
 def sphere_integral(body, f):
@@ -50,11 +52,15 @@ def sphere_integral(body, f):
 
 
 def fractional_raw(body, s):
-    j = sphere_integral(body, lambda c, sn, g: g ** (-2.0 - 2.0 * s))
-    return 2.0 * math.pi * 2.0 ** (-1.0 - 2.0 * s) * gamma(1.0 - s) / s * j
+    """raw(s) at N = 1 (where S^0 = {1, -1} carries counting measure) or N = 2."""
+    if body.dim == 1:
+        j = sum(float(body.gauge([x])) ** (-1.0 - 2.0 * s) for x in (1.0, -1.0))
+    else:
+        j = sphere_integral(body, lambda c, sn, g: g ** (-2.0 - 2.0 * s))
+    return 2.0 * math.pi ** (body.dim / 2.0) * 2.0 ** (-1.0 - 2.0 * s) * gamma(1.0 - s) / s * j
 
 
-@pytest.mark.parametrize("name, body", BODIES, ids=[b[0] for b in BODIES])
+@pytest.mark.parametrize("name, body", FRACTIONAL_BODIES, ids=[b[0] for b in FRACTIONAL_BODIES])
 def test_fractional_gaussian(name, body):
     # the fractional_smooth benchmark budget and schedule
     schedule = am.Schedule("s", (0.80, 0.88, 0.93, 0.96, 0.98, 0.99, 0.995))
@@ -68,6 +74,46 @@ def test_fractional_gaussian(name, body):
     assert rep.target == pytest.approx(limit, rel=1e-12)
     ex = rep.extrapolation
     assert abs(ex.limit - limit) <= 3.0 * ex.limit_stderr
+
+
+@pytest.mark.parametrize("name, body", FRACTIONAL_BODIES, ids=[b[0] for b in FRACTIONAL_BODIES])
+def test_fractional_refinement(name, body):
+    # the ball rule's error estimate is honest at every resolution and
+    # shrinks as the resolution grows
+    spec = am.FunctionalSpec(am.Gagliardo(0.8), 2.0, body, am.zero_potential(2))
+    exact = fractional_raw(body, 0.8)
+    errors = []
+    for resolution in (24, 48, 96):
+        value, error = am.gagliardo(am.gaussian(2), spec,
+                                    am.IntegrationBudget(resolution=resolution, sphere_nodes=64))
+        assert abs(value - exact) <= 3.0 * error, resolution
+        errors.append(error)
+    assert errors[0] > errors[1] > errors[2]
+
+
+def test_frozen_fractional_cases():
+    # the p = 2, A = 0 cases of test_functionals.TestFrozenValues
+    ball, square, interval = am.EuclideanBall(2), am.cube(2), am.EuclideanBall(1)
+    zero = am.zero_potential(2)
+    tensor = am.IntegrationBudget(resolution=20, sphere_nodes=32)
+    mc = am.IntegrationBudget(outer="montecarlo", samples=64, sphere_nodes=32)
+    cases = [
+        (am.gaussian(2), am.FunctionalSpec(am.Gagliardo(0.7), 2.0, square, zero), tensor),
+        (am.gaussian(2), am.FunctionalSpec(am.Gagliardo(0.7), 2.0, ball, zero), mc),
+        (am.gaussian(1), am.FunctionalSpec(am.Gagliardo(0.5), 2.0, interval, am.zero_potential(1)),
+         am.IntegrationBudget(resolution=24)),
+        (am.gaussian(2), am.FunctionalSpec(am.Bbm(am.LudwigFamily(2, 2.0), 8), 2.0, ball, zero),
+         dataclasses.replace(tensor, resolution=16)),
+    ]
+    for u, spec, budget in cases:
+        if isinstance(spec.kind, am.Gagliardo):
+            fn, s, factor = am.gagliardo, spec.kind.s, 1.0
+        else:
+            # the Ludwig family at n is p (1 - s_n) times the seminorm at s_n
+            s = spec.kind.family.s_value(spec.kind.n)
+            fn, factor = am.bbm, spec.p * (1.0 - s)
+        value, error = fn(u, spec, budget, seed=1)
+        assert abs(value - factor * fractional_raw(spec.body, s)) <= 3.0 * error, spec
 
 
 def shrinking_point(body, n, wave, b):

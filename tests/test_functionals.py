@@ -751,6 +751,34 @@ class TestIndicatorErrorEstimate:
         am.gagliardo(u, spec, am.IntegrationBudget(resolution=2))
 
 
+class TestBallRule:
+    """The outer rule of the fractional seminorm and the Ludwig family on
+    smooth fields."""
+
+    @pytest.mark.parametrize("kind", [am.Gagliardo(0.5), am.Bbm(am.LudwigFamily(2, 2.0), 4)])
+    def test_resolution_below_8_rejected(self, kind):
+        # the half rule's circle rule has resolution / 2 nodes, and the
+        # trapezoid route this replaced rounded small resolutions up silently
+        ball, zero = make_specs()
+        spec = am.FunctionalSpec(kind, 2.0, ball, zero)
+        fn = am.bbm if isinstance(kind, am.Bbm) else am.gagliardo
+        for resolution in (1, 7):
+            with pytest.raises(ValueError, match="resolution of at least 8"):
+                fn(am.gaussian(2), spec, am.IntegrationBudget(resolution=resolution))
+        fn(am.gaussian(2), spec, am.IntegrationBudget(resolution=8, sphere_nodes=8))
+        fn(am.gaussian(2), spec, am.IntegrationBudget(outer="montecarlo", resolution=1,
+                                                      samples=8, sphere_nodes=8))
+
+    def test_field_evaluations(self):
+        # one call at the fractional_smooth benchmark budget: 32 x 48 + 16 x 24
+        # outer points, 64 directions and 60 radial nodes; the trapezoid grid
+        # and the 156 graded radial nodes it replaced made 17,901,312
+        u, shapes = _counting(am.gaussian(2))
+        spec = am.FunctionalSpec(am.Gagliardo(0.9), 2.0, am.EuclideanBall(2), am.zero_potential(2))
+        am.gagliardo(u, spec, am.IntegrationBudget(resolution=48, sphere_nodes=64))
+        assert sum(math.prod(s[:-1]) for s in shapes if len(s) >= 3) <= 17_901_312 // 2
+
+
 def _frozen_case(name):
     ball, square = am.EuclideanBall(2), am.cube(2)
     rot, zero = am.rotational_potential(1.0), am.zero_potential(2)
@@ -793,12 +821,17 @@ class TestFrozenValues:
     strings; a refactor of the outer drivers must reproduce every bit."""
 
     @pytest.mark.parametrize("name, expected", [
-        ("gagliardo_tensor", "(49.53478731414387, 3.529767118944534)"),
-        ("gagliardo_mc", "(32.971537660896786, 1.9215327628961543)"),
-        ("gagliardo_1d", "(6.2818419158534855, 0.004962722694715538)"),
-        ("ludwig_smooth_zero", "(12.59156779688215, 5.219959537482732)"),
-        ("ludwig_smooth_rotational_tensor", "(27.457070462832263, 12.458297654181337)"),
-        ("ludwig_smooth_rotational_mc", "(49.011191738690286, 4.387128400612905)"),
+        # the six gagliardo and ludwig_smooth values moved when the smooth
+        # fractional route took the ball rule and the Gauss-Jacobi radial
+        # rule; test_exact_references.py pins the four with p = 2 and A = 0
+        # to the closed form, and test_ludwig_rotational_reference below the
+        # two magnetic ones to an unblocked evaluation of the same rules
+        ("gagliardo_tensor", "(49.47968685190315, 2.2696263455598356)"),
+        ("gagliardo_mc", "(32.97133980027131, 1.92157125934697)"),
+        ("gagliardo_1d", "(6.28293859175193, 0.0036979986498746342)"),
+        ("ludwig_smooth_zero", "(12.681543673785592, 2.051008628833806)"),
+        ("ludwig_smooth_rotational_tensor", "(28.08602242389666, 5.153670873874201)"),
+        ("ludwig_smooth_rotational_mc", "(49.01119274121132, 4.387128225893945)"),
         ("ludwig_indicator_zero", "(4.801807395924193, 0.2529516337497322)"),
         ("ludwig_indicator_rotational", "(4.199705461067584, 27.93922771095208)"),
         # shrinking_smooth_zero and shrinking_smooth_rotational_mc moved by 1-2
@@ -811,6 +844,50 @@ class TestFrozenValues:
     def test_values(self, name, expected):
         fn, u, spec, budget = _frozen_case(name)
         assert repr(fn(u, spec, budget, seed=1)) == expected
+
+    @pytest.mark.parametrize("name", ["ludwig_smooth_rotational_tensor",
+                                      "ludwig_smooth_rotational_mc"])
+    def test_ludwig_rotational_reference(self, name):
+        # the library's outer, sphere and radial rules, with the magnetic
+        # difference from am.psi on one (x, sigma, h) array: no blocks,
+        # chunks or in-place ray kernel
+        fn, u, spec, budget = _frozen_case(name)
+        a, body, p, dim = spec.potential, spec.body, spec.p, spec.body.dim
+        s = spec.kind.family.s_value(spec.kind.n)
+        rule = am.sphere_rule(dim, budget.sphere_nodes, body=body)
+        kernel_w = rule.weights / body.gauge(rule.nodes) ** (dim + p * s)
+        radius = u.support_radius + budget.margin
+        h_max = radius + u.support_radius
+        h, w_h = functionals._gagliardo_radial(p, s, h_max)
+        tail = h_max ** (-p * s) / (p * s) * kernel_w.sum()
+
+        def integrand(x):
+            y = x[:, None, None, :] + h[:, None] * rule.nodes[:, None, :]
+            ux = u(x)
+            diff = np.abs(am.psi(u, a, x[:, None, None, :], y) - ux[:, None, None]) ** p
+            return np.einsum("nmk,k,m->n", diff / h**p, w_h, kernel_w) + tail * np.abs(ux) ** p
+
+        def ball(n_r, circle):
+            r, w_r = np.polynomial.legendre.leggauss(n_r)
+            r, w_r = 0.5 * radius * (r + 1.0), 0.5 * radius * w_r
+            x = (r[:, None, None] * circle.nodes[None]).reshape(-1, dim)
+            return float(np.einsum("n,n->", (w_r[:, None] * r[:, None] * circle.weights).ravel(),
+                                   integrand(x)))
+
+        if budget.outer == "tensor":
+            circle = am.sphere_rule(dim, budget.resolution)
+            n_r = 2 * budget.resolution // 3
+            raw = ball(n_r, circle)
+            raw_err = abs(raw - ball(n_r // 2, circle.coarse))
+        else:
+            x, rho = functionals._mixture_samples(
+                dim, radius, functionals._importance_tau(u), budget.samples,
+                am.derive_seed(budget.seed, "gagliardo", 1))
+            vals = integrand(x) / rho
+            raw, raw_err = vals.mean(), vals.std(ddof=1) / math.sqrt(len(vals))
+        value, error = fn(u, spec, budget, seed=1)
+        assert value == pytest.approx(p * (1.0 - s) * raw, rel=1e-12, abs=0.0)
+        assert error == pytest.approx(p * (1.0 - s) * raw_err, rel=1e-12, abs=0.0)
 
 
 class TestBbm:

@@ -211,7 +211,7 @@ class TestRunStudy:
             assert rep.study["target_mode"] == expected
 
     @pytest.mark.parametrize("kind, smooth, family, schedule, model", [
-        ("gagliardo", True, None, None, "1, t, t^2, t^3"),
+        ("gagliardo", True, None, None, "1, t, t^2, t^3, t^4"),
         ("gagliardo", True, None, am.Schedule("s", (0.8, 0.88, 0.93, 0.96)), "1, t, t^2"),
         ("bbm", True, am.LudwigFamily(2, 2.0), am.Schedule("n", (4, 8, 16, 32, 64)),
          "1, t, t^2, t^3"),

@@ -81,16 +81,21 @@ def test_einsum_only_contractions(name):
     assert blas_contractions((PACKAGE / name).read_text()) == []
 
 
-def leggauss_uses(source: str) -> list[int]:
-    """Lines of ``source`` that reach numpy's Gauss-Legendre rule: an
-    attribute named leggauss, or a numpy import of that name."""
+def rule_uses(source: str, names) -> list[int]:
+    """Lines of ``source`` that reach a library rule named in ``names``: an
+    attribute of that name, or a numpy or scipy import of it."""
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr == "leggauss":
+        if isinstance(node, ast.Attribute) and node.attr in names:
             lines.append(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
-            lines += [node.lineno for alias in node.names if alias.name == "leggauss"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(("numpy", "scipy")):
+            lines += [node.lineno for alias in node.names if alias.name in names]
     return sorted(lines)
+
+
+def leggauss_uses(source: str) -> list[int]:
+    """Lines of ``source`` that reach numpy's Gauss-Legendre rule."""
+    return rule_uses(source, {"leggauss"})
 
 
 def test_checker_finds_leggauss():
@@ -103,6 +108,27 @@ def test_checker_finds_leggauss():
 def test_gauss_legendre_built_in_grids_only(path):
     # every interval rule comes from grids.leggauss / grids.gauss_legendre
     assert bool(leggauss_uses(path.read_text())) == (path.name == "grids.py")
+
+
+# scipy's Gauss-Jacobi rule, under both of its names
+JACOBI_NAMES = {"roots_jacobi", "j_roots"}
+
+
+def test_checker_finds_jacobi_rules():
+    src = ("from scipy.special import roots_jacobi\nimport scipy.special as sp\n"
+           "x = sp.j_roots(8, 0, 1)\nfrom .grids import gauss_jacobi\n")
+    assert rule_uses(src, JACOBI_NAMES) == [1, 3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_gauss_jacobi_built_in_grids_only(path):
+    # grids.gauss_jacobi is the one Jacobi rule, built in numpy: scipy's
+    # roots_jacobi on the fractional path added about 1 MiB of peak RSS
+    source = path.read_text()
+    assert rule_uses(source, JACOBI_NAMES) == []
+    defines = any(isinstance(node, ast.FunctionDef) and node.name == "gauss_jacobi"
+                  for node in ast.walk(ast.parse(source)))
+    assert defines == (path.name == "grids.py")
 
 
 @pytest.mark.parametrize("module", ["anisomag", "anisomag.cli"])
