@@ -110,9 +110,12 @@ class Polytope:
 
     def plane_distance(self, x) -> np.ndarray:
         """Distance from each point of ``x`` (..., dim) to the nearest facet
-        hyperplane, min over f of |offset_f - n_f . x|."""
-        slack = self.offsets - np.einsum("...k,fk->...f", x, self.normals)
-        return np.abs(slack).min(axis=-1)
+        hyperplane, min over f of |offset_f - n_f . x|, one facet at a time."""
+        x = np.asarray(x, dtype=float)
+        dist = np.full(x.shape[:-1], np.inf)
+        for normal, offset in zip(self.normals, self.offsets):
+            np.minimum(dist, np.abs(offset - np.einsum("...k,k->...", x, normal)), out=dist)
+        return dist
 
     def circumradius(self) -> float:
         verts = self.vertices

@@ -268,7 +268,7 @@ def cmd_limit_study(args) -> int:
                        mollifier_family=family, threads=args.threads)
     if args.out is not None:
         (args.out / "report.json").write_text(report.to_json() + "\n")
-        report.write_points_csv(args.out / "points.csv")
+        _write_csv(args.out / "points.csv", report.points_csv_rows())
         report.write_plot_dat(args.out / "plot.dat")
     ex = report.extrapolation
     print(f"{kind} study on {report.study['body']}: limit {ex.limit:.8g} "

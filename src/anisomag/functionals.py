@@ -27,11 +27,11 @@ split nodes and in its root finding.
 
 On smooth fields the fractional and mollified functionals share one driver,
 _smooth_ray_integral (outer rule x sphere rule x radial rule).  The outer
-x-integral runs through one chunk loop: for smooth fields _outer_integrate (on
-a ball: a ball rule, Gauss-Legendre in r times a sphere rule, for the
-fractional seminorm and the Ludwig family; a trapezoid grid for the other
-functionals; or defensive importance sampling), for indicators
-_midpoint_integrate (cell-centered grids at two resolutions).  Rule
+x-integral runs through one chunk loop, one block of rays per call: for smooth
+fields _outer_integrate (on a ball: a ball rule, Gauss-Legendre in r times a
+sphere rule, for the fractional seminorm and the Ludwig family; a trapezoid
+grid for the other functionals; or defensive importance sampling), for
+indicators _midpoint_integrate (cell-centered grids at two resolutions).  Rule
 evaluations report the distance to the same integral on a rule with half the
 nodes; Monte Carlo evaluations report the sample standard error.  Neither
 estimate is optional.
@@ -248,14 +248,11 @@ class IntegrationBudget:
 # larger were mapped, faulted in and unmapped again for every block unless an
 # earlier, larger allocation had raised those thresholds.  The ray kernel works
 # node by node, and every (point, sigma) is summed over h before any sum over
-# sigma, so the block shape changes no value.
+# sigma, so the block shape changes no value.  Every values_fn call, on every
+# ray path (smooth, threshold and indicator), gets max(1, _BLOCK_ELEMENTS //
+# rule.size) points: one block of rays.  Each point's value is its own sum over
+# sigma and h, so that changes no value either.
 _BLOCK_ELEMENTS = 12288
-# points per call of a smooth integrand's values_fn
-_CHUNK = 32
-# the threshold functional finds the crossings of _CHUNK * _RAY_BATCH_CHUNKS
-# points before solving for them, _BLOCK_ELEMENTS rays at a time, so its
-# root-finding blocks are full; this changes no value either
-_RAY_BATCH_CHUNKS = 8
 # the threshold scan evaluates every _SCAN_STRIDE-th scan node first, and
 # splits each cell its Lipschitz certificate leaves open at its middle node
 _SCAN_STRIDE = 32
@@ -363,7 +360,7 @@ def _ball_rule(radius, n_r, rule):
     return points, np.einsum("i,j->ij", w * r ** (rule.dim - 1), rule.weights).ravel()
 
 
-def _outer_integrate(values_fn, u, radius, budget, label, seed, chunk=_CHUNK, ball=False):
+def _outer_integrate(values_fn, u, radius, budget, label, seed, rule, ball=False):
     """Outer x-integral of a smooth field's integrand over the ball of ``radius``.
 
     "tensor" is the ball rule when ``ball`` is set (node counts as in
@@ -375,6 +372,7 @@ def _outer_integrate(values_fn, u, radius, budget, label, seed, chunk=_CHUNK, ba
     "montecarlo" draws the defensive gaussian mixture of width
     _importance_tau(u) with the seed derived from ``label``/``seed``.
     """
+    chunk = max(1, _BLOCK_ELEMENTS // rule.size)
     if budget.outer == "montecarlo":
         pts, rho = _mixture_samples(u.dim, radius, _importance_tau(u), budget.samples,
                                     derive_seed(budget.seed, label, seed))
@@ -383,10 +381,10 @@ def _outer_integrate(values_fn, u, radius, budget, label, seed, chunk=_CHUNK, ba
         return mean, float(np.std(weighted, ddof=1)) / math.sqrt(len(weighted))
     if ball:
         n = budget.resolution
-        rule, n_r = sphere_rule(u.dim, n if u.dim < 3 else n * n // 2), 2 * n // 3
+        shell, n_r = sphere_rule(u.dim, n if u.dim < 3 else n * n // 2), 2 * n // 3
         # the counting rule of S^0 is exact and has no coarse rule
-        (fine, w_fine), (half, w_half) = (_ball_rule(radius, n_r, rule),
-                                          _ball_rule(radius, n_r // 2, rule.coarse or rule))
+        (fine, w_fine), (half, w_half) = (_ball_rule(radius, n_r, shell),
+                                          _ball_rule(radius, n_r // 2, shell.coarse or shell))
         vals = chunk_values(values_fn, np.concatenate([fine, half]), None, chunk)
         q = float(np.einsum("n,n->", w_fine, vals[: len(fine)]))
         return q, abs(q - float(np.einsum("n,n->", w_half, vals[len(fine):])))
@@ -395,14 +393,15 @@ def _outer_integrate(values_fn, u, radius, budget, label, seed, chunk=_CHUNK, ba
     return tg.integrate(chunk_values(values_fn, tg.points, live, chunk))
 
 
-def _midpoint_integrate(values_fn, dim, radius, resolution, live, chunk):
+def _midpoint_integrate(values_fn, rule, radius, resolution, live):
     """Outer x-integral of an indicator path's integrand on cell-centered
-    grids over [-radius, radius]^dim: the value at ``resolution`` and its
-    distance to the value at half of it.  ``live(points)``
-    masks the nodes where the integrand can be nonzero; None keeps all."""
+    grids over [-radius, radius]^N: the value at ``resolution`` and its
+    distance to the value at half of it.  ``live(points)`` masks the nodes
+    where the integrand can be nonzero; None keeps all."""
+    chunk = max(1, _BLOCK_ELEMENTS // rule.size)
 
     def value_at(res):
-        tg = midpoint_grid(dim, radius, res)
+        tg = midpoint_grid(rule.dim, radius, res)
         vals = chunk_values(values_fn, tg.points, None if live is None else live(tg.points),
                             chunk)
         return float(np.einsum("n,n->", tg.weights, vals))
@@ -447,7 +446,7 @@ def _smooth_ray_integral(u, a, rule, h, h_weights, kernel_w, p, radius, budget, 
             return vals
         return vals + scalar_mixed_modulus_pow(ux, p) * tail
 
-    return _outer_integrate(values_fn, u, radius, budget, label, seed, ball=ball)
+    return _outer_integrate(values_fn, u, radius, budget, label, seed, rule, ball=ball)
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +507,8 @@ def _gagliardo_indicator(u, s, budget, rule, kernel_w):
         t_hi = np.maximum(t_hi, 1e-300)
         return 2.0 * np.einsum("cm,m->c", t_hi ** (-s) / s, kernel_w)
 
-    return _midpoint_integrate(values_fn, region.dim, u.support_radius, budget.resolution,
-                               region.contains, 4096)
+    return _midpoint_integrate(values_fn, rule, u.support_radius, budget.resolution,
+                               region.contains)
 
 
 def gagliardo(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
@@ -737,8 +736,7 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
         np.add.at(ray_vals, (ci, mi), signed)
         return (delta_pow / p) * np.einsum("cm,m->c", ray_vals, kernel_w)
 
-    return _outer_integrate(values_fn, u, radius, budget, "nguyen", seed,
-                            chunk=_CHUNK * _RAY_BATCH_CHUNKS)
+    return _outer_integrate(values_fn, u, radius, budget, "nguyen", seed, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -864,6 +862,5 @@ def _bbm_indicator(u, spec, budget):
             out = out + inside.astype(float) * float(np.einsum("m,m->", tail, rule.weights))
         return out
 
-    if shrinking and a.is_zero:
-        return _midpoint_integrate(values_fn_plain, dim, radius, budget.resolution, live, 16384)
-    return _midpoint_integrate(values_fn, dim, radius, budget.resolution, live, 2048)
+    return _midpoint_integrate(values_fn_plain if shrinking and a.is_zero else values_fn, rule,
+                               radius, budget.resolution, live)

@@ -99,10 +99,9 @@ class TensorGrid:
     coarse_weights: np.ndarray | None
 
     def integrate(self, values: np.ndarray) -> tuple[float, float]:
-        """Weighted sum and |fine - coarse| error estimate."""
+        """Weighted sum and |fine - coarse| error estimate, on a grid with a
+        nested coarse subset (a trapezoid grid)."""
         fine = float(np.einsum("n,n->", self.weights, values))
-        if self.coarse_indices is None:
-            return fine, 0.0
         coarse = float(np.einsum("n,n->", self.coarse_weights, values[self.coarse_indices]))
         return fine, abs(fine - coarse)
 

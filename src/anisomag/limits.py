@@ -10,7 +10,6 @@ target.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -205,11 +204,6 @@ class ConvergenceReport:
         yield ("parameter", "value", "error")
         for p in self.points:
             yield (repr(p.parameter), repr(p.value), repr(p.error))
-
-    def write_points_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerows(self.points_csv_rows())
 
     def write_plot_dat(self, path) -> None:
         with open(path, "w") as fh:

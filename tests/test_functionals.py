@@ -19,6 +19,7 @@ from scipy.optimize import brentq
 
 import anisomag as am
 from anisomag import functionals
+from anisomag.grids import chunk_values
 
 
 def make_specs():
@@ -489,29 +490,64 @@ class TestRayKernel:
         self._check(u, a, x, sig, h, "roots", p)
 
 
+_RAY_PATHS = ["gagliardo", "nguyen", "bbm", "gagliardo_indicator", "bbm_indicator",
+              "bbm_indicator_magnetic"]
+
+
+def _ray_path(kind):
+    """(functional, field, spec, budget) of one ray path, on 32 directions."""
+    disk, zero, rot = am.EuclideanBall(2), am.zero_potential(2), am.rotational_potential(1.0)
+    wave, square = am.modulated_gaussian(2, [1.0, 0.5]), am.indicator(am.unit_square())
+    tensor = am.IntegrationBudget(outer="tensor", resolution=12, sphere_nodes=32)
+    smooth_bbm = am.Bbm(am.ShrinkingUniformFamily(2, 2.0), 8)
+    indicator_bbm = am.Bbm(am.ShrinkingUniformFamily(2, 1.0), 4)
+    return {
+        "gagliardo": (am.gagliardo, am.gaussian(2),
+                      am.FunctionalSpec(am.Gagliardo(0.9), 2.0, disk, zero), tensor),
+        "nguyen": (am.nguyen, wave, am.FunctionalSpec(am.Nguyen(0.05), 2.0, disk, rot),
+                   am.IntegrationBudget(outer="montecarlo", samples=32, sphere_nodes=32)),
+        "bbm": (am.bbm, wave, am.FunctionalSpec(smooth_bbm, 2.0, disk, rot), tensor),
+        "gagliardo_indicator": (am.gagliardo, square,
+                                am.FunctionalSpec(am.Gagliardo(0.6), 1.0, disk, zero), tensor),
+        "bbm_indicator": (am.bbm, square, am.FunctionalSpec(indicator_bbm, 1.0, disk, zero),
+                          tensor),
+        "bbm_indicator_magnetic": (am.bbm, square,
+                                   am.FunctionalSpec(indicator_bbm, 1.0, disk, rot), tensor),
+    }[kind]
+
+
 class TestBlockShape:
     """The dense grids' block shape changes no value (see _BLOCK_ELEMENTS)."""
 
-    @pytest.mark.parametrize("kind", ["gagliardo", "nguyen", "bbm"])
+    @pytest.mark.parametrize("kind", _RAY_PATHS)
     def test_small_blocks(self, kind, monkeypatch):
-        disk, rot = am.EuclideanBall(2), am.rotational_potential(1.0)
-        wave = am.modulated_gaussian(2, [1.0, 0.5])
-        tensor = am.IntegrationBudget(outer="tensor", resolution=12, sphere_nodes=32)
-        fn, u, spec, budget = {
-            "gagliardo": (am.gagliardo, am.gaussian(2),
-                          am.FunctionalSpec(am.Gagliardo(0.9), 2.0, disk, am.zero_potential(2)),
-                          tensor),
-            "nguyen": (am.nguyen, wave, am.FunctionalSpec(am.Nguyen(0.05), 2.0, disk, rot),
-                       am.IntegrationBudget(outer="montecarlo", samples=32, sphere_nodes=32)),
-            "bbm": (am.bbm, wave,
-                    am.FunctionalSpec(am.Bbm(am.ShrinkingUniformFamily(2, 2.0), 8), 2.0, disk,
-                                      rot), tensor),
-        }[kind]
+        fn, u, spec, budget = _ray_path(kind)
         default = fn(u, spec, budget, seed=1)
         monkeypatch.setattr(functionals, "_BLOCK_ELEMENTS", 256)
-        # now even the bbm grid (12 radial nodes) splits a point's directions
+        # now even the bbm grid (12 radial nodes) splits a point's directions,
+        # and every path's calls get 8 points
         assert len(functionals._grid_blocks(1, 32, 12)) > 1
         assert repr(fn(u, spec, budget, seed=1)) == repr(default)
+
+    @pytest.mark.parametrize("kind", _RAY_PATHS)
+    def test_one_block_of_rays_per_call(self, kind, monkeypatch):
+        # every path hands its integrand one block of rays per call: 8 points
+        # of 32 directions, fewer only in a path's last call
+        fn, u, spec, budget = _ray_path(kind)
+        monkeypatch.setattr(functionals, "_BLOCK_ELEMENTS", 256)
+        sizes = []
+
+        def recorded(values_fn, points, live, chunk):
+            def values(x):
+                sizes.append(len(x))
+                return values_fn(x)
+
+            return chunk_values(values, points, live, chunk)
+
+        monkeypatch.setattr(functionals, "chunk_values", recorded)
+        fn(u, spec, budget, seed=1)
+        rule = functionals.sphere_rule(2, budget.sphere_nodes, body=spec.body)
+        assert max(sizes) == max(1, 256 // rule.size) == 8
 
 
 class TestCertifiedScan:
@@ -658,13 +694,12 @@ class TestBbmIdentities:
                                      am.linear_potential(matrix))
             return am.bbm(field, spec, budget)[0]
 
-        # The Ludwig family's graded radial rule starts at 1e-7 h_max: there
-        # |Psi(x, y) - u(x)| is about 1e-7 of the values it is the difference
-        # of, so the two sides' differently rounded phases cost it about 7
-        # digits.  The shrinking family's first node sits at about 1/100 of
-        # its support, which costs about 2.
-        rel = 1e-10 if ludwig else 1e-12
-        assert value(v, rot + sym) == pytest.approx(value(u, rot), rel=rel, abs=0.0)
+        # The two sides round their phases differently, and |Psi(x, y) - u(x)|
+        # at the first radial node loses the digits that node's h costs: about
+        # 2 for both families (the Ludwig family's Gauss-Jacobi panel starts at
+        # 0.004 h_1 at n = 4, the shrinking family's Gauss rule at 0.009 of
+        # its support).  Both sides agree to about 1e-15.
+        assert value(v, rot + sym) == pytest.approx(value(u, rot), rel=1e-12, abs=0.0)
 
 
 class TestBodyMonotonicity:
@@ -960,6 +995,9 @@ fn, u, spec, budget = {
                am.IntegrationBudget(outer="montecarlo", samples=64, sphere_nodes=96)),
     "bbm": (am.bbm, wave, am.FunctionalSpec(am.Bbm(ShrinkingUniformFamily(2, 2.0), 8), 2.0, disk, rot),
             am.IntegrationBudget(outer="tensor", resolution=32, sphere_nodes=96)),
+    "gagliardo_indicator": (am.gagliardo, am.indicator(am.unit_square()),
+                            am.FunctionalSpec(am.Gagliardo(0.5), 1.0, disk, am.zero_potential(2)),
+                            am.IntegrationBudget(outer="tensor", resolution=256, sphere_nodes=96)),
 }[sys.argv[1]]
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 fn(u, spec, budget, seed=1)
@@ -969,11 +1007,12 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="page-fault counts from getrusage are read on Linux only")
-@pytest.mark.parametrize("kind", ["gagliardo", "nguyen", "bbm"])
+@pytest.mark.parametrize("kind", ["gagliardo", "nguyen", "bbm", "gagliardo_indicator"])
 def test_dense_grids_recycle_their_memory(kind):
     # every dense block stays small enough to be recycled from block to block
     # without a warmed allocator; mapping fresh pages for each block cost
-    # 15k-130k faults per evaluation at these sizes
+    # 15k-130k faults per evaluation at these sizes (28k on the fractional
+    # indicator path)
     src = str(Path(am.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", _FAULT_PROBE, kind], capture_output=True,

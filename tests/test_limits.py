@@ -248,11 +248,11 @@ class TestRunStudy:
                            budget=am.IntegrationBudget(outer="tensor", resolution=16,
                                                        sphere_nodes=16),
                            seed=3, target_grid=am.GridSpec(resolution=16))
-        csv_path = tmp_path / "points.csv"
-        rep.write_points_csv(csv_path)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "parameter,value,error"
-        assert len(lines) == 1 + len(rep.points)
+        rows = list(rep.points_csv_rows())
+        assert rows[0] == ("parameter", "value", "error")
+        # one row per point, and each float reads back exactly
+        assert [tuple(map(float, row)) for row in rows[1:]] == [
+            (p.parameter, p.value, p.error) for p in rep.points]
         dat_path = tmp_path / "plot.dat"
         rep.write_plot_dat(dat_path)
         assert len(dat_path.read_text().splitlines()) == len(rep.points)
