@@ -22,8 +22,11 @@ split nodes and in its root finding.
   settled or one scan cell wide, so every crossing, and every value, is the
   one the node-by-node scan finds, as for a field without an envelope.
 * mollified (BBM) functional: smooth radial integrand on the mollifier
-  support; for polytope indicators the ray/region intersection makes the
-  radial pieces explicit.
+  support.  For polytope indicators one ray kernel, _bbm_indicator, serves
+  both families and every potential: each ray meets the region on one
+  interval, the pieces where |Psi - u(x)|_1 is constant in h take the
+  family's closed-form radial primitive, and only the interval itself under a
+  nonzero potential is integrated, on a Gauss rule in the magnetic phase.
 
 On smooth fields the fractional and mollified functionals share one driver,
 _smooth_ray_integral (outer rule x sphere rule x radial rule).  The outer
@@ -776,91 +779,71 @@ def _bbm_shrinking_smooth(u, spec, budget, seed):
 
 
 def _bbm_indicator(u, spec, budget):
-    """p = 1 indicator path: radial pieces cut at the ray/region intersection.
+    """p = 1 indicator path: one ray kernel for both families and every potential.
 
-    Between the entry/exit radii the kernel difference has an explicit form
-    in the magnetic phase alone, so no field evaluations are needed.
+    Each (x, sigma) ray meets the region on [a, b], clipped to the family's
+    cut: 1/(n g(sigma)) for the shrinking family, infinity for the Ludwig
+    family.  Along the ray rho_n(h g)/g h^(N-2) = c(sigma) h^(e-1), with
+    c = N n^N/g and e = N - 1 for the shrinking family and
+    c = (1-s) g^(-N-s) and e = -s for the Ludwig family.  [0, a] adds
+    nothing: outside the region u(x) = u(y) = 0 there, and inside a = 0.
+    Beyond b, |Psi - u(x)|_1 = u(x), and on [a, b] at A = 0 it is 1 - u(x):
+    those pieces take the primitive of h^(e-1).  Only [a, b] at A != 0 has
+    the magnetic phase, |exp(-i h sigma.A(mid)) - u(x)|_1, on a Gauss rule.
+    No field is evaluated.
     """
     a, body = spec.potential, spec.body
     family, n = spec.kind.family, spec.kind.n
-    region = u.region
-    dim = body.dim
+    region, dim = u.region, body.dim
     rule = sphere_rule(dim, budget.sphere_nodes, body=body)
     g = body.gauge(rule.nodes)
-    shrinking = isinstance(family, ShrinkingUniformFamily)
-    if shrinking:
-        h_cut = 1.0 / (n * g)  # rho vanishes beyond this
-        cut_max = float(np.max(h_cut))
-        plain_w = rule.weights * family.height(n) / g
-        radius = u.support_radius + cut_max
-
-        def live(points):
-            # contributions only from the band around the region boundary
-            return region.plane_distance(points) <= cut_max * 1.0000001
+    if isinstance(family, ShrinkingUniformFamily):
+        cut = 1.0 / (n * g)  # rho vanishes beyond this
+        radius = u.support_radius + float(np.max(cut))
+        scale, e = rule.weights * family.height(n) / g, dim - 1
     else:
-        radius = u.support_radius + budget.margin
-        h_cut = np.full(rule.size, radius + u.support_radius)
-        live = None
+        s = family.s_value(n)
+        cut, radius = np.full(rule.size, np.inf), u.support_radius + budget.margin
+        scale, e = rule.weights * (1.0 - s) * g ** (-dim - s), -s
     xi, wxi = gauss_legendre(_RADIAL_ORDER, 0.0, 1.0)
+    # rays per slice of the phase piece: its (ray, node) complex temporaries
+    # stay below glibc's 128 KiB mmap threshold (see _BLOCK_ELEMENTS)
+    ray_slice = _BLOCK_ELEMENTS // (4 * _RADIAL_ORDER)
 
-    # A = 0, shrinking family: the kernel difference is the 0/1 region flip
-    # and the radial integral has an elementary primitive
-    def values_fn_plain(x_chunk):
-        a_in, b_out = region.ray_interval(x_chunk[:, None, :], rule.nodes[None, :, :])
-        inside = region.contains(x_chunk)
-        # clip both ends to [0, h_cut] in place; then a_in <= b_out <= h_cut
-        np.minimum(np.maximum(a_in, 0.0, out=a_in), h_cut, out=a_in)
-        np.minimum(np.maximum(b_out, 0.0, out=b_out), h_cut, out=b_out)
-        np.maximum(b_out, a_in, out=b_out)
-        # inside: the ray leaves the region on [b_out, h_cut]; outside: it
-        # crosses it on [a_in, b_out]
-        lo = np.where(inside[:, None], b_out, a_in)
-        hi = np.where(inside[:, None], h_cut, b_out)
-        e = dim - 1
-        seg = (hi**e - lo**e) / e if e > 0 else np.log(np.maximum(hi, 1e-300) / np.maximum(lo, 1e-300))
-        return np.einsum("cm,m->c", seg, plain_w)
+    def live(points):
+        # at A = 0 only the band within the cut of the facet planes contributes
+        return region.plane_distance(points) <= float(np.max(cut)) * 1.0000001
 
-    # A != 0 here: at A = 0 the shrinking family takes values_fn_plain and
-    # bbm sends the Ludwig family to _gagliardo_like
-    def values_fn(x_chunk):
-        t_lo, t_hi = region.ray_interval(x_chunk[:, None, :], rule.nodes[None, :, :])
-        inside = region.contains(x_chunk)
-        # the pieces of each (x, sigma) ray are [0, a], [a, b], [b, cut], with
-        # 0 <= a <= b <= cut.  [0, a] adds nothing: outside the region
-        # u(x) = u(y) = 0 there, and inside a = 0
-        a_r = np.clip(t_lo, 0.0, h_cut)
-        b_r = np.maximum(np.clip(t_hi, 0.0, h_cut), a_r)
+    def primitive(lo, hi):
+        return (hi**e - lo**e) / e if e != 0 else np.log(hi / lo)
 
-        def seg_value(lo, hi, uy_val):
-            """Integral over [lo, hi] of the radial piece where u(y) = uy_val,
-            on the (x, sigma) rays where the piece is not empty."""
-            ci, mi = np.nonzero(hi > lo + 1e-300)
-            out = np.zeros(lo.shape)
-            if len(ci) == 0:
-                return out
-            width = hi[ci, mi] - lo[ci, mi]
-            h = lo[ci, mi][:, None] + width[:, None] * xi[None, :]
-            # rho_n(h g) / g * h^(N-2) for p = 1
-            gg = g[mi][:, None]
-            base = family.rho(h * gg, n) / gg * h ** (dim - 2)
-            ux_val = inside[ci].astype(float)
-            if uy_val == 1.0:
-                sig = rule.nodes[mi]
-                mid_pts = x_chunk[ci][:, None, :] + 0.5 * h[:, :, None] * sig[:, None, :]
-                rot = _phase(a, mid_pts, h, sig[:, None])
-                diff_pow = scalar_mixed_modulus_pow(np.subtract(rot, ux_val[:, None], out=rot), 1.0)
-            else:
-                diff_pow = np.broadcast_to(np.abs(uy_val - ux_val)[:, None], h.shape)
-            out[ci, mi] = width * np.einsum("br,r->b", base * diff_pow, wxi)
-            return out
-
-        total = seg_value(a_r, b_r, 1.0) + seg_value(b_r, np.broadcast_to(h_cut, b_r.shape), 0.0)
-        out = np.einsum("cm,m->c", total, rule.weights)
-        if not shrinking:
-            # closed-form tail beyond the truncation where u(y) = 0
-            tail = family.tail_weight(h_cut * g, n) / g ** dim
-            out = out + inside.astype(float) * float(np.einsum("m,m->", tail, rule.weights))
+    def phase_piece(x_chunk, ux, lo, hi):
+        """integral over [lo, hi] of h^(e-1) |exp(-i h sigma.A(mid)) - u(x)|_1"""
+        out = np.zeros(lo.shape)
+        ci, mi = np.nonzero(hi > lo + 1e-300)
+        for start in range(0, len(ci), ray_slice):
+            c, m = ci[start : start + ray_slice], mi[start : start + ray_slice]
+            width = hi[c, m] - lo[c, m]
+            h = lo[c, m][:, None] + width[:, None] * xi
+            sig = rule.nodes[m][:, None]
+            rot = _phase(a, x_chunk[c][:, None] + 0.5 * h[..., None] * sig, h, sig)
+            diff = scalar_mixed_modulus_pow(np.subtract(rot, ux[c], out=rot), 1.0)
+            out[c, m] = width * np.einsum("br,r->b", h ** (e - 1) * diff, wxi)
         return out
 
-    return _midpoint_integrate(values_fn_plain if shrinking and a.is_zero else values_fn, rule,
-                               radius, budget.resolution, live)
+    def values_fn(x_chunk):
+        t_lo, t_hi = region.ray_interval(x_chunk[:, None, :], rule.nodes[None, :, :])
+        inside = region.contains(x_chunk)[:, None]
+        # 0 < a <= b <= cut; the floor keeps h^e finite where a ray misses
+        np.minimum(np.maximum(t_lo, 1e-300, out=t_lo), cut, out=t_lo)
+        np.minimum(np.maximum(t_hi, t_lo, out=t_hi), cut, out=t_hi)
+        # the closed-form pieces: [b, cut], empty outside the region, and at
+        # A = 0 [a, b] outside it
+        lo = np.where(inside, t_hi, t_lo) if a.is_zero else t_hi
+        pieces = primitive(lo, np.where(inside, cut, t_hi))
+        if not a.is_zero:
+            pieces += phase_piece(x_chunk, inside.astype(float), t_lo, t_hi)
+        return np.einsum("cm,m->c", pieces, scale)
+
+    return _midpoint_integrate(values_fn, rule, radius, budget.resolution,
+                               live if a.is_zero else None)

@@ -748,11 +748,9 @@ class TestIndicatorFrozenValues:
         assert repr(got) == expected
 
     def test_shrinking_bbm_square_disk_magnetic(self):
-        spec = am.FunctionalSpec(am.Bbm(am.ShrinkingUniformFamily(2, 1.0), 4), 1.0,
-                                 am.EuclideanBall(2), am.rotational_potential(1.0))
-        got = am.bbm(am.indicator(am.unit_square()), spec,
-                     am.IntegrationBudget(outer="tensor", resolution=16, sphere_nodes=32))
-        assert repr(got) == "(15.159442678059499, 2.1622179022214922)"
+        # test_magnetic_indicator_reference below checks this value
+        fn, u, spec, budget = _magnetic_indicator_case("shrinking_indicator_rotational")
+        assert repr(fn(u, spec, budget)) == "(15.241974002129094, 2.1670757635301108)"
 
     def test_gagliardo_indicator_square_disk(self):
         spec = am.FunctionalSpec(am.Gagliardo(0.5), 1.0, am.EuclideanBall(2),
@@ -760,6 +758,73 @@ class TestIndicatorFrozenValues:
         got = am.gagliardo(am.indicator(am.unit_square()), spec,
                            am.IntegrationBudget(outer="tensor", resolution=32))
         assert repr(got) == "(43.82448617058196, 23.55325689772127)"
+
+
+def _magnetic_indicator_case(name):
+    """(functional, field, spec, budget) of the two magnetic indicator cases."""
+    if name == "ludwig_indicator_rotational":
+        return _frozen_case(name)
+    spec = am.FunctionalSpec(am.Bbm(am.ShrinkingUniformFamily(2, 1.0), 4), 1.0,
+                             am.EuclideanBall(2), am.rotational_potential(1.0))
+    return (am.bbm, am.indicator(am.unit_square()), spec,
+            am.IntegrationBudget(outer="tensor", resolution=16, sphere_nodes=32))
+
+
+@pytest.mark.parametrize("name", ["shrinking_indicator_rotational",
+                                  "ludwig_indicator_rotational"])
+def test_magnetic_indicator_reference(name):
+    # the library's midpoint grids, sphere rule and radial Gauss nodes with
+    # every point in one array: the pieces where u(y) = 0 from tail_weight,
+    # the one where u(y) = 1 from rho and am.psi; no blocks, slices or
+    # closed-form primitives
+    fn, u, spec, budget = _magnetic_indicator_case(name)
+    a, body, family, n = spec.potential, spec.body, spec.kind.family, spec.kind.n
+    region, dim = u.region, body.dim
+    rule = am.sphere_rule(dim, budget.sphere_nodes, body=body)
+    g = body.gauge(rule.nodes)
+    if isinstance(family, am.ShrinkingUniformFamily):
+        cut = 1.0 / (n * g)
+        radius = u.support_radius + cut.max()
+    else:
+        cut = np.full(rule.size, np.inf)
+        radius = u.support_radius + budget.margin
+    xi, w_xi = np.polynomial.legendre.leggauss(functionals._RADIAL_ORDER)
+    xi, w_xi = 0.5 * (xi + 1.0), 0.5 * w_xi
+
+    def integrand(x):
+        t_lo, t_hi = region.ray_interval(x[:, None, :], rule.nodes[None, :, :])
+        lo = np.clip(t_lo, 0.0, cut)
+        hi = np.maximum(np.clip(t_hi, 0.0, cut), lo)
+        ux = u(x).real
+        # beyond hi, u(y) = 0 and |Psi - u(x)|_1 = u(x)
+        ci, mi = np.nonzero(np.broadcast_to(ux[:, None] > 0.0, lo.shape))
+        beyond = np.zeros(lo.shape)
+        beyond[ci, mi] = [(family.tail_weight(hi[c, m] * g[m], n)
+                           - family.tail_weight(cut[m] * g[m], n)) / g[m] ** dim
+                          for c, m in zip(ci, mi)]
+        # on [lo, hi], u(y) = 1
+        ci, mi = np.nonzero(hi > lo)
+        h = lo[ci, mi, None] + (hi - lo)[ci, mi, None] * xi
+        xs = np.broadcast_to(x[ci, None, :], h.shape + (dim,))
+        y = xs + h[..., None] * rule.nodes[mi, None, :]
+        # the indicator field takes flat (points, N) arrays
+        diff = am.psi(u, a, xs.reshape(-1, dim), y.reshape(-1, dim)).reshape(h.shape) - ux[ci, None]
+        density = family.rho(h * g[mi, None], n) / g[mi, None] * h ** (dim - 2)
+        crossing = np.zeros(lo.shape)
+        crossing[ci, mi] = (hi - lo)[ci, mi] * np.einsum(
+            "br,r->b", density * (np.abs(diff.real) + np.abs(diff.imag)), w_xi)
+        return np.einsum("cm,m->c", beyond + crossing, rule.weights)
+
+    def value(resolution):
+        step = 2.0 * radius / resolution
+        axis = -radius + step * (np.arange(resolution) + 0.5)
+        x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, dim)
+        return step**dim * integrand(x).sum()
+
+    fine = value(budget.resolution)
+    got, error = fn(u, spec, budget, seed=1)
+    assert got == pytest.approx(fine, rel=1e-12, abs=0.0)
+    assert error == pytest.approx(abs(fine - value(budget.resolution // 2)), rel=1e-12, abs=0.0)
 
 
 class TestIndicatorErrorEstimate:
@@ -868,7 +933,7 @@ class TestFrozenValues:
         ("ludwig_smooth_rotational_tensor", "(28.08602242389666, 5.153670873874201)"),
         ("ludwig_smooth_rotational_mc", "(49.01119274121132, 4.387128225893945)"),
         ("ludwig_indicator_zero", "(4.801807395924193, 0.2529516337497322)"),
-        ("ludwig_indicator_rotational", "(4.199705461067584, 27.93922771095208)"),
+        ("ludwig_indicator_rotational", "(4.206196014177359, 30.3074940925247)"),
         # shrinking_smooth_zero and shrinking_smooth_rotational_mc moved by 1-2
         # ulp when the shrinking path began to sum each (point, sigma) over h
         # before summing over sigma
@@ -998,6 +1063,10 @@ fn, u, spec, budget = {
     "gagliardo_indicator": (am.gagliardo, am.indicator(am.unit_square()),
                             am.FunctionalSpec(am.Gagliardo(0.5), 1.0, disk, am.zero_potential(2)),
                             am.IntegrationBudget(outer="tensor", resolution=256, sphere_nodes=96)),
+    "bbm_indicator_magnetic": (am.bbm, am.indicator(am.unit_square()),
+                               am.FunctionalSpec(am.Bbm(ShrinkingUniformFamily(2, 1.0), 8), 1.0,
+                                                 disk, rot),
+                               am.IntegrationBudget(outer="tensor", resolution=256, sphere_nodes=96)),
 }[sys.argv[1]]
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 fn(u, spec, budget, seed=1)
@@ -1007,12 +1076,13 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="page-fault counts from getrusage are read on Linux only")
-@pytest.mark.parametrize("kind", ["gagliardo", "nguyen", "bbm", "gagliardo_indicator"])
+@pytest.mark.parametrize("kind", ["gagliardo", "nguyen", "bbm", "gagliardo_indicator",
+                                  "bbm_indicator_magnetic"])
 def test_dense_grids_recycle_their_memory(kind):
     # every dense block stays small enough to be recycled from block to block
     # without a warmed allocator; mapping fresh pages for each block cost
     # 15k-130k faults per evaluation at these sizes (28k on the fractional
-    # indicator path)
+    # indicator path, 227k on the magnetic indicator path's phase piece)
     src = str(Path(am.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", _FAULT_PROBE, kind], capture_output=True,
