@@ -8,9 +8,13 @@ fields.psi, and one ray kernel, _diff_pow, computes it wherever a field is
 evaluated along rays: on the (point, sigma, h) grids, at the threshold scan's
 split nodes and in its root finding.
 
-* fractional seminorm: a Gauss-Jacobi panel near h = 0 carries the endpoint
-  weight h^(p(1-s)-1) exactly, and geometric Gauss-Legendre panels cover the
-  rest; the far tail where u(y) vanishes is added in closed form.
+* fractional seminorm: Gauss-Legendre nodes near h = 0 carry product weights
+  that integrate the endpoint weight h^(p(1-s)-1) times polynomials exactly,
+  and geometric Gauss-Legendre panels cover the rest; the far tail where u(y)
+  vanishes is added in closed form.  No node depends on s, so one pass over
+  the (x, sigma, h) nodes evaluates every s of a tuple: only the h-weights,
+  the kernel weights g^(-N-ps) and the tail change with s, and each s is
+  contracted on its own.
 * threshold functional: the superlevel set of the kernel difference is
   bracketed on a graded scan grid, each crossing is located by Illinois steps
   from the scan's values, then h^(-1-p) is integrated exactly over the
@@ -50,7 +54,8 @@ import numpy as np
 
 from .bodies import ConvexBody, unit_ball_volume
 from .fields import ComplexField, MagneticPotential
-from .grids import chunk_values, gauss_jacobi, gauss_legendre, midpoint_grid, trapezoid_grid
+from .grids import (chunk_values, gauss_jacobi, gauss_legendre, leggauss, midpoint_grid,
+                    trapezoid_grid)
 from .norms import scalar_mixed_modulus_pow
 from .seeding import derive_seed
 from .spheres import sphere_rule
@@ -117,7 +122,13 @@ MollifierFamily = LudwigFamily | ShrinkingUniformFamily
 
 @dataclass(frozen=True)
 class Gagliardo:
-    s: float
+    """The fractional seminorm at s, or at every s of a tuple in one pass."""
+
+    s: float | tuple
+
+    @property
+    def s_values(self) -> tuple:
+        return self.s if isinstance(self.s, tuple) else (self.s,)
 
 
 @dataclass(frozen=True)
@@ -144,7 +155,7 @@ class FunctionalSpec:
         if self.body.dim != self.potential.dim:
             raise ValueError("body and potential dimensions differ")
         if isinstance(self.kind, Gagliardo):
-            if not 0.0 < self.kind.s < 1.0:
+            if not self.kind.s_values or not all(0.0 < s < 1.0 for s in self.kind.s_values):
                 raise ValueError("s must lie in (0, 1)")
             if not self.potential.is_zero:
                 raise ValueError("the fractional seminorm requires a zero potential")
@@ -264,8 +275,9 @@ _SCAN_STRIDE = 32
 _SCAN_RATIO = 1.05
 _SCAN_MIN_FACTOR = 1e-6
 _ROOT_MAX_ITERS = 64
-# Gauss-Legendre order of the mollified functional's radial rules, and the
-# Gauss-Jacobi order of the fractional seminorm's first radial panel; its
+# Gauss-Legendre order of the mollified functional's radial rules and of the
+# fractional seminorm's first radial panel, whose product weights for
+# h^(p(1-s)-1) come from a Gauss-Jacobi rule of the same order; its
 # _RADIAL_PANELS geometric Gauss-Legendre panels beyond have _PANEL_ORDER nodes
 _RADIAL_ORDER = 12
 _RADIAL_PANELS = 6
@@ -363,6 +375,13 @@ def _ball_rule(radius, n_r, rule):
     return points, np.einsum("i,j->ij", w * r ** (rule.dim - 1), rule.weights).ravel()
 
 
+def _rows(vals):
+    """The (points,) or (points, S) values as S contiguous rows of point
+    values, so that each row is integrated by the same operations as a single
+    row would be."""
+    return np.ascontiguousarray(vals.reshape(len(vals), -1).T)
+
+
 def _outer_integrate(values_fn, u, radius, budget, label, seed, rule, ball=False):
     """Outer x-integral of a smooth field's integrand over the ball of ``radius``.
 
@@ -374,40 +393,44 @@ def _outer_integrate(values_fn, u, radius, budget, label, seed, rule, ball=False
     not hold, which is spectral for integrands that vanish smoothly there.
     "montecarlo" draws the defensive gaussian mixture of width
     _importance_tau(u) with the seed derived from ``label``/``seed``.
+    ``values_fn`` returns per-point values or (points, S) rows; the result is
+    the (S,) values and errors, S = 1 for per-point values.
     """
     chunk = max(1, _BLOCK_ELEMENTS // rule.size)
     if budget.outer == "montecarlo":
         pts, rho = _mixture_samples(u.dim, radius, _importance_tau(u), budget.samples,
                                     derive_seed(budget.seed, label, seed))
-        weighted = chunk_values(values_fn, pts, None, chunk) / rho
-        mean = float(np.einsum("n->", weighted)) / len(weighted)
-        return mean, float(np.std(weighted, ddof=1)) / math.sqrt(len(weighted))
+        weighted = _rows(chunk_values(values_fn, pts, None, chunk)) / rho
+        means = np.array([np.einsum("n->", row) for row in weighted]) / len(rho)
+        return means, np.array([np.std(row, ddof=1) for row in weighted]) / math.sqrt(len(rho))
     if ball:
         n = budget.resolution
         shell, n_r = sphere_rule(u.dim, n if u.dim < 3 else n * n // 2), 2 * n // 3
         # the counting rule of S^0 is exact and has no coarse rule
         (fine, w_fine), (half, w_half) = (_ball_rule(radius, n_r, shell),
                                           _ball_rule(radius, n_r // 2, shell.coarse or shell))
-        vals = chunk_values(values_fn, np.concatenate([fine, half]), None, chunk)
-        q = float(np.einsum("n,n->", w_fine, vals[: len(fine)]))
-        return q, abs(q - float(np.einsum("n,n->", w_half, vals[len(fine):])))
+        rows = _rows(chunk_values(values_fn, np.concatenate([fine, half]), None, chunk))
+        q = np.array([np.einsum("n,n->", w_fine, row[: len(fine)]) for row in rows])
+        return q, abs(q - np.array([np.einsum("n,n->", w_half, row[len(fine):]) for row in rows]))
     tg = trapezoid_grid(u.dim, radius, budget.resolution)
     live = np.einsum("nk,nk->n", tg.points, tg.points) <= radius**2
-    return tg.integrate(chunk_values(values_fn, tg.points, live, chunk))
+    return np.array([tg.integrate(row) for row in
+                     _rows(chunk_values(values_fn, tg.points, live, chunk))]).T
 
 
 def _midpoint_integrate(values_fn, rule, radius, resolution, live):
     """Outer x-integral of an indicator path's integrand on cell-centered
-    grids over [-radius, radius]^N: the value at ``resolution`` and its
-    distance to the value at half of it.  ``live(points)`` masks the nodes
-    where the integrand can be nonzero; None keeps all."""
+    grids over [-radius, radius]^N: the (S,) values at ``resolution`` and
+    their distances to the values at half of it, as for _outer_integrate.
+    ``live(points)`` masks the nodes where the integrand can be nonzero; None
+    keeps all."""
     chunk = max(1, _BLOCK_ELEMENTS // rule.size)
 
     def value_at(res):
         tg = midpoint_grid(rule.dim, radius, res)
         vals = chunk_values(values_fn, tg.points, None if live is None else live(tg.points),
                             chunk)
-        return float(np.einsum("n,n->", tg.weights, vals))
+        return np.array([np.einsum("n,n->", tg.weights, row) for row in _rows(vals)])
 
     fine = value_at(resolution)
     return fine, abs(fine - value_at(resolution // 2))
@@ -415,17 +438,22 @@ def _midpoint_integrate(values_fn, rule, radius, resolution, live):
 
 def _smooth_ray_integral(u, a, rule, h, h_weights, kernel_w, p, radius, budget, label, seed,
                          doubled=False, tail=None, ball=False):
-    """Outer rule x sphere rule x radial rule for a smooth field: the outer
-    x-integral over the ball of ``radius`` of
+    """Outer rule x sphere rule x radial rule for a smooth field: for each row
+    i of the weights, the outer x-integral over the ball of ``radius`` of
 
-        sum_m kernel_w[m] sum_j h_weights[m, j] |Psi(x, x + h sigma_m) - u(x)|_p^p / h^p
+        sum_m kernel_w[i, m] sum_j h_weights[i, m, j] |Psi(x, x + h sigma_m) - u(x)|_p^p / h^p
 
-    at h = h[m, j]; ``h`` and ``h_weights`` are (m, k) and may be broadcast
-    views of nodes shared by every direction.  ``doubled`` counts twice the
-    pairs whose y lies outside the support of u, which a symmetric integrand
-    meets from both ends but the outer rule covers from x only; ``tail`` adds
-    tail * |u(x)|_p^p; ``ball`` selects _outer_integrate's ball rule.  The
-    step planes are built once per call.
+    at h = h[m, j].  ``h`` is (m, k), ``h_weights`` (S, m, k) and ``kernel_w``
+    (S, m); the (m, k) planes may be broadcast views of nodes shared by every
+    direction.  The difference quotient is computed once per block of rays and
+    contracted once per row, each row on its own, so a row's value does not
+    depend on the other rows; once a block's points have all their directions,
+    their radial sums are summed over sigma, so only one block's (S, point,
+    sigma) sums are kept.  ``doubled`` counts twice the pairs whose y lies
+    outside the support of u, which a symmetric integrand meets from both ends
+    but the outer rule covers from x only; ``tail`` (S,) adds tail[i] *
+    |u(x)|_p^p; ``ball`` selects _outer_integrate's ball rule.  The step
+    planes are built once per call.  Returns the (S,) values and errors.
     """
     steps = rule.nodes.T[:, :, None] * h
     half_steps = None if a.is_zero else rule.nodes.T[:, :, None] * (0.5 * h)
@@ -434,20 +462,26 @@ def _smooth_ray_integral(u, a, rule, h, h_weights, kernel_w, p, radius, budget, 
 
     def values_fn(x_chunk):
         ux = u.evaluate(x_chunk)
-        rad = np.empty((len(x_chunk), rule.size))
+        vals = np.empty((len(x_chunk), len(kernel_w)))
         for pts, dirs in _grid_blocks(len(x_chunk), rule.size, h.shape[1]):
+            x = x_chunk[pts]
+            if dirs.start == 0:  # new points (_grid_blocks gives their directions in order)
+                rad = np.empty((len(kernel_w), len(x), rule.size))
             half = half_steps[:, None, dirs] if half_steps is not None else None
-            gpow, y = _diff_pow(u, a, x_chunk[pts].T[:, :, None, None], steps[:, None, dirs], half,
-                                h[dirs], rule.nodes[dirs, None], ux[pts, None, None], p)
+            gpow, y = _diff_pow(u, a, x.T[:, :, None, None], steps[:, None, dirs], half, h[dirs],
+                                rule.nodes[dirs, None], ux[pts, None, None], p)
             qpow = np.divide(gpow, h_pow[dirs], out=gpow)
             if doubled:
                 outside = np.einsum("cmhk,cmhk->cmh", y, y) > sup2
                 np.multiply(qpow, 1.0 + outside, out=qpow)
-            rad[pts, dirs] = np.einsum("cmh,mh->cm", qpow, h_weights[dirs])
-        vals = np.einsum("cm,m->c", rad, kernel_w)
+            for i, w in enumerate(h_weights):
+                rad[i, :, dirs] = np.einsum("cmh,mh->cm", qpow, w[dirs])
+            if dirs.stop >= rule.size:  # their last directions
+                for i, w in enumerate(kernel_w):
+                    vals[pts, i] = np.einsum("cm,m->c", rad[i], w)
         if tail is None:
             return vals
-        return vals + scalar_mixed_modulus_pow(ux, p) * tail
+        return vals + scalar_mixed_modulus_pow(ux, p)[:, None] * tail
 
     return _outer_integrate(values_fn, u, radius, budget, label, seed, rule, ball=ball)
 
@@ -456,69 +490,93 @@ def _smooth_ray_integral(u, a, rule, h, h_weights, kernel_w, p, radius, budget, 
 # fractional (Gagliardo-type) seminorm
 
 
-def _gagliardo_radial(p: float, s: float, h_max: float):
-    """Nodes/weights for integral_0^H q(h)^p h^(alpha-1) dh, alpha = p(1-s).
+def _gagliardo_radial(p: float, s_values, h_max: float):
+    """Nodes h (k,) and weights (S, k), one row per s of ``s_values``, for
+    integral_0^H q(h)^p h^(alpha-1) dh, alpha = p(1-s); no node depends on s.
 
-    One Gauss-Jacobi panel on [0, h_1], h_1 = min(1, H), carries the weight
-    h^(alpha-1) exactly, so the smooth difference quotient q is all it
-    integrates; _RADIAL_PANELS Gauss-Legendre panels in geometric progression
-    cover [h_1, H].  Every node is positive: at s = 0.995 and p = 2 the
-    smallest is 7e-5 h_1, where q keeps about 12 digits.
+    On [0, h_1], h_1 = min(1, H), the nodes are _RADIAL_ORDER Gauss-Legendre
+    nodes x_i, and a row holds their product weights for h^(alpha-1):
+    w = V^-T m, with V_ij = P_j(x_i) and m_j the moments of the Legendre
+    polynomial P_j against (1 + x)^(alpha-1), which grids.gauss_jacobi takes
+    exactly.  The P_j are orthogonal on the Gauss nodes, so V^-T = diag(lambda)
+    V diag(j + 1/2), lambda the Gauss weights.  The panel integrates
+    h^(alpha-1) times polynomials of degree below _RADIAL_ORDER exactly, so
+    the smooth difference quotient q is all it approximates.  Its smallest
+    node is 9.2e-3 h_1; at s = 0.995 and p = 2 some weights are negative, and
+    sum |w| is 5.5 times the row's mass.  _RADIAL_PANELS Gauss-Legendre
+    panels in geometric progression cover [h_1, H].
     """
-    alpha = p * (1.0 - s)
     h_1 = min(1.0, h_max)
-    x, w = gauss_jacobi(_RADIAL_ORDER, alpha - 1.0)
-    h_nodes, h_weights = [0.5 * h_1 * (1.0 + x)], [(0.5 * h_1) ** alpha * w]
+    x, lam = leggauss(_RADIAL_ORDER)
+    degree, legvander = _RADIAL_ORDER - 1, np.polynomial.legendre.legvander
+    v_inv_t = np.einsum("i,ij,j->ij", lam, legvander(x, degree), np.arange(degree + 1) + 0.5)
     breaks = h_1 * (h_max / h_1) ** (np.arange(_RADIAL_PANELS + 1) / _RADIAL_PANELS)
-    for lo, hi in zip(breaks[:-1], breaks[1:]) if h_max > h_1 else ():
-        h, wh = gauss_legendre(_PANEL_ORDER, lo, hi)
-        h_nodes.append(h)
-        h_weights.append(wh * h ** (alpha - 1.0))
-    return np.concatenate(h_nodes), np.concatenate(h_weights)
+    panels = [gauss_legendre(_PANEL_ORDER, lo, hi)
+              for lo, hi in (zip(breaks[:-1], breaks[1:]) if h_max > h_1 else ())]
+    rows = []
+    for s in s_values:
+        alpha = p * (1.0 - s)
+        x_j, w_j = gauss_jacobi(_RADIAL_ORDER, alpha - 1.0)
+        moments = np.einsum("n,nj->j", w_j, legvander(x_j, degree))
+        first = (0.5 * h_1) ** alpha * np.einsum("ij,j->i", v_inv_t, moments)
+        rows.append(np.concatenate([first] + [wh * h ** (alpha - 1.0) for h, wh in panels]))
+    return np.concatenate([0.5 * h_1 * (1.0 + x)] + [h for h, _ in panels]), np.array(rows)
 
 
-def _gagliardo_like(u, a, body, p, s, budget, seed):
-    """Raw double integral with kernel gauge^(N + p s), without the (1-s) factor."""
+def _gagliardo_like(u, a, body, p, s_values, budget, seed):
+    """Raw double integral with kernel gauge^(N + p s), without the (1-s)
+    factor: the (S,) values and errors for the s of ``s_values``."""
     dim = body.dim
     rule = sphere_rule(dim, budget.sphere_nodes, body=body)
     g = body.gauge(rule.nodes)
-    kernel_w = rule.weights / g ** (dim + p * s)
+    kernel_w = np.array([rule.weights / g ** (dim + p * s) for s in s_values])
     symmetric = a.is_zero
     radius = u.support_radius if symmetric else u.support_radius + budget.margin
     h_max = radius + u.support_radius
 
     if not u.smooth:
-        return _gagliardo_indicator(u, s, budget, rule, kernel_w)
+        return _gagliardo_indicator(u, s_values, budget, rule, kernel_w)
 
-    h_nodes, h_weights = _gagliardo_radial(p, s, h_max)
-    shape = (rule.size, len(h_nodes))
+    h_nodes, h_weights = _gagliardo_radial(p, s_values, h_max)
+    shape = (len(s_values), rule.size, len(h_nodes))
     # beyond h_max u(y) = 0, and the radial integral of |u(x)|_p^p h^(-1-ps)
     # has a closed form
-    tail = h_max ** (-p * s) / (p * s) * float(np.einsum("m->", kernel_w))
-    return _smooth_ray_integral(u, a, rule, np.broadcast_to(h_nodes, shape),
-                                np.broadcast_to(h_weights, shape), kernel_w, p, radius, budget,
-                                "gagliardo", seed, doubled=symmetric,
+    tail = np.array([h_max ** (-p * s) / (p * s) * float(np.einsum("m->", w))
+                     for s, w in zip(s_values, kernel_w)])
+    return _smooth_ray_integral(u, a, rule, np.broadcast_to(h_nodes, shape[1:]),
+                                np.broadcast_to(h_weights[:, None, :], shape), kernel_w, p,
+                                radius, budget, "gagliardo", seed, doubled=symmetric,
                                 tail=tail * (2.0 if symmetric else 1.0), ball=True)
 
 
-def _gagliardo_indicator(u, s, budget, rule, kernel_w):
+def _gagliardo_indicator(u, s_values, budget, rule, kernel_w):
     """p = 1 indicator path: exact radial integrals from ray/region intersections."""
     region = u.region
 
     def values_fn(x_chunk):
         _, t_hi = region.ray_interval(x_chunk[:, None, :], rule.nodes[None, :, :])
         t_hi = np.maximum(t_hi, 1e-300)
-        return 2.0 * np.einsum("cm,m->c", t_hi ** (-s) / s, kernel_w)
+        return np.stack([2.0 * np.einsum("cm,m->c", t_hi ** (-s) / s, w)
+                         for s, w in zip(s_values, kernel_w)], axis=1)
 
     return _midpoint_integrate(values_fn, rule, u.support_radius, budget.resolution,
                                region.contains)
 
 
 def gagliardo(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
-              seed: int = 0) -> tuple[float, float]:
-    """Raw fractional seminorm (without the (1-s) normalization factor)."""
+              seed: int = 0) -> tuple:
+    """Raw fractional seminorm (without the (1-s) normalization factor).
+
+    When spec.kind.s is a tuple, one pass evaluates every s and the result is
+    a tuple of values and a tuple of errors; each is the value a call at that
+    s alone returns."""
     _validate(u, spec, budget, Gagliardo)
-    return _gagliardo_like(u, spec.potential, spec.body, spec.p, spec.kind.s, budget, seed)
+    s_values = spec.kind.s_values
+    q, err = (np.broadcast_to(v, len(s_values)) for v in _gagliardo_like(
+        u, spec.potential, spec.body, spec.p, s_values, budget, seed))
+    if isinstance(spec.kind.s, tuple):
+        return tuple(map(float, q)), tuple(map(float, err))
+    return float(q[0]), float(err[0])
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +797,8 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
         np.add.at(ray_vals, (ci, mi), signed)
         return (delta_pow / p) * np.einsum("cm,m->c", ray_vals, kernel_w)
 
-    return _outer_integrate(values_fn, u, radius, budget, "nguyen", seed, rule)
+    q, err = _outer_integrate(values_fn, u, radius, budget, "nguyen", seed, rule)
+    return float(q[0]), float(err[0])
 
 
 # ---------------------------------------------------------------------------
@@ -754,8 +813,8 @@ def bbm(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
     if isinstance(family, LudwigFamily) and (u.smooth or spec.potential.is_zero):
         s = family.s_value(n)
         factor = spec.p * (1.0 - s)
-        raw, err = _gagliardo_like(u, spec.potential, spec.body, spec.p, s, budget, seed)
-        return factor * raw, factor * err
+        raw, err = _gagliardo_like(u, spec.potential, spec.body, spec.p, (s,), budget, seed)
+        return float(factor * raw[0]), float(factor * err[0])
     if u.smooth:
         return _bbm_shrinking_smooth(u, spec, budget, seed)
     return _bbm_indicator(u, spec, budget)
@@ -774,8 +833,9 @@ def _bbm_shrinking_smooth(u, spec, budget, seed):
     radius = u.support_radius + float(np.max(h_sup))
     # per-(sigma, h) quadrature weight: rho/g^p * h^(N-1) * dh
     w_mr = (rho_const / g**p)[:, None] * h_nodes ** (dim - 1) * (h_sup[:, None] * wxi[None, :])
-    return _smooth_ray_integral(u, a, rule, h_nodes, w_mr, rule.weights, p, radius, budget, "bbm",
-                                seed)
+    q, err = _smooth_ray_integral(u, a, rule, h_nodes, w_mr[None], rule.weights[None], p, radius,
+                                  budget, "bbm", seed)
+    return float(q[0]), float(err[0])
 
 
 def _bbm_indicator(u, spec, budget):
@@ -845,5 +905,6 @@ def _bbm_indicator(u, spec, budget):
             pieces += phase_piece(x_chunk, inside.astype(float), t_lo, t_hi)
         return np.einsum("cm,m->c", pieces, scale)
 
-    return _midpoint_integrate(values_fn, rule, radius, budget.resolution,
-                               live if a.is_zero else None)
+    q, err = _midpoint_integrate(values_fn, rule, radius, budget.resolution,
+                                 live if a.is_zero else None)
+    return float(q[0]), float(err[0])

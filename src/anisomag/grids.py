@@ -2,7 +2,8 @@
 
 Every Gauss rule of the package comes from here: ``leggauss`` on [-1, 1],
 cached per order, ``gauss_legendre`` mapped to [a, b], and ``gauss_jacobi``,
-the Gauss-Jacobi rule for the weight (1 + x)^beta on [-1, 1].  The box
+the Gauss-Jacobi rule for the weight (1 + x)^beta on [-1, 1], which takes the
+moments of the fractional seminorm's product rule.  The box
 rules are tensor-product grids.  Integrands on the trapezoid grid are smooth
 and compactly supported, so the trapezoid rule converges fast; its nested
 half-resolution subset gives a free discretization error estimate (same
@@ -41,7 +42,8 @@ def gauss_legendre(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarr
 def gauss_jacobi(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi nodes and weights on [-1, 1] for the weight (1 + x)^beta,
     beta > -1, kept in a cache bounded because beta follows the schedule;
-    read-only.
+    read-only.  It is exact for polynomials of degree below 2 * order, and
+    functionals._gagliardo_radial takes its product rule's moments from it.
 
     Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
     polynomials' three-term recurrence, polished by one Newton step, and the
@@ -80,14 +82,18 @@ def gauss_jacobi(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def chunk_values(values_fn, points, live, chunk):
-    """values_fn(points) -> per-point values, called ``chunk`` points at a
-    time on the points the mask ``live`` selects (all if it is None); the
-    other points get 0."""
+    """values_fn(points) -> per-point values, or per-point rows (points, S),
+    called ``chunk`` points at a time on the points the mask ``live`` selects
+    (all if it is None); the other points get 0, or a zero row.  With no live
+    point nothing is called and every value is 0."""
     vals = np.zeros(len(points))
     idx = np.arange(len(points)) if live is None else np.nonzero(live)[0]
     for start in range(0, len(idx), chunk):
         sel = idx[start : start + chunk]
-        vals[sel] = values_fn(points[sel])
+        out = values_fn(points[sel])
+        if out.shape[1:] != vals.shape[1:]:  # the first call returned rows
+            vals = np.zeros((len(points),) + out.shape[1:])
+        vals[sel] = out
     return vals
 
 

@@ -320,20 +320,30 @@ def run_study(
     t_vals = schedule.t_values
     t0 = float(t_vals[0])
 
+    def study_point(i: int, raw: float, err: float) -> StudyPoint:
+        param = schedule.values[i]
+        scale = 1.0 - param if kind == "gagliardo" else 1.0
+        return StudyPoint(float(param), float(t_vals[i]), float(scale * raw), float(scale * err),
+                          float(raw))
+
     def eval_point(i: int) -> StudyPoint:
-        param, t = schedule.values[i], float(t_vals[i])
-        pb = _point_budget(budget, t, t0, indicator)
+        param = schedule.values[i]
+        pb = _point_budget(budget, float(t_vals[i]), t0, indicator)
         pb = replace(pb, seed=derive_seed(seed, "study", kind, i))
         args = (mollifier_family, int(param)) if kind == "bbm" else (float(param),)
         spec = FunctionalSpec(spec_class(*args), p, body, a)
-        raw, err = getattr(functionals, kind)(u, spec, pb, seed=i)
-        scale = 1.0 - param if kind == "gagliardo" else 1.0
-        return StudyPoint(float(param), t, float(scale * raw), float(scale * err), float(raw))
+        return study_point(i, *getattr(functionals, kind)(u, spec, pb, seed=i))
 
     # schedule points are independent; results are assembled in schedule order
     # and each point's seed derives from its index, so the thread count can
-    # never change any value
-    if threads > 1:
+    # never change any value.  A fractional study of a smooth field on the
+    # ball rule is one call: the rule's nodes depend on neither a point's seed
+    # nor its t, one pass evaluates every s, and ``threads`` does nothing there
+    if kind == "gagliardo" and u.smooth and budget.outer == "tensor":
+        spec = FunctionalSpec(Gagliardo(tuple(float(v) for v in schedule.values)), p, body, a)
+        raws, errs = functionals.gagliardo(u, spec, budget)
+        points = [study_point(i, raw, err) for i, (raw, err) in enumerate(zip(raws, errs))]
+    elif threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:

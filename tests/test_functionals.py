@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import anisomag as am
-from anisomag import functionals
+from anisomag import functionals, grids
 from anisomag.grids import chunk_values
 
 
@@ -28,6 +28,33 @@ def make_specs():
     return ball, zero
 
 
+@pytest.mark.parametrize("case", ["tensor", "montecarlo", "1d", "indicator",
+                                  "indicator_nothing_live"])
+def test_gagliardo_tuple_of_s(case):
+    # one pass over a tuple of s gives each s the value of a call at that s
+    # alone, on every route; a region that no grid node lies in gives zeros
+    s_values = (0.6, 0.9, 0.995)
+    dim, p, u = 2, 2.0, am.gaussian(2)
+    budget = am.IntegrationBudget(outer="tensor", resolution=12, sphere_nodes=16)
+    if case == "montecarlo":
+        budget = am.IntegrationBudget(outer="montecarlo", samples=32, sphere_nodes=16)
+    elif case == "1d":
+        dim, u = 1, am.gaussian(1)
+    elif case.startswith("indicator"):
+        p = 1.0
+        # a small square off the origin lies between the grid's nodes
+        u = am.indicator(am.box_region([0.3, 0.0], [0.01, 0.01]) if case.endswith("live")
+                         else am.unit_square())
+    body, zero = am.EuclideanBall(dim), am.zero_potential(dim)
+    values, errors = am.gagliardo(u, am.FunctionalSpec(am.Gagliardo(s_values), p, body, zero),
+                                  budget, seed=3)
+    assert len(values) == len(errors) == len(s_values)
+    for s, value, error in zip(s_values, values, errors):
+        one = am.gagliardo(u, am.FunctionalSpec(am.Gagliardo(s), p, body, zero), budget, seed=3)
+        assert repr((value, error)) == repr(one)
+    assert (max(values) == 0.0) == (case == "indicator_nothing_live")
+
+
 class TestSpecValidation:
     def test_s_range(self):
         ball, zero = make_specs()
@@ -35,6 +62,9 @@ class TestSpecValidation:
             am.FunctionalSpec(am.Gagliardo(1.0), 2.0, ball, zero)
         with pytest.raises(ValueError):
             am.FunctionalSpec(am.Gagliardo(0.0), 2.0, ball, zero)
+        for bad in ((), (0.5, 1.0)):
+            with pytest.raises(ValueError):
+                am.FunctionalSpec(am.Gagliardo(bad), 2.0, ball, zero)
 
     def test_gagliardo_needs_zero_potential(self):
         ball, _ = make_specs()
@@ -696,8 +726,8 @@ class TestBbmIdentities:
 
         # The two sides round their phases differently, and |Psi(x, y) - u(x)|
         # at the first radial node loses the digits that node's h costs: about
-        # 2 for both families (the Ludwig family's Gauss-Jacobi panel starts at
-        # 0.004 h_1 at n = 4, the shrinking family's Gauss rule at 0.009 of
+        # 2 for both families (the Ludwig family's first radial panel starts
+        # at 0.009 h_1, the shrinking family's Gauss rule at 0.009 of
         # its support).  Both sides agree to about 1e-15.
         assert value(v, rot + sym) == pytest.approx(value(u, rot), rel=1e-12, abs=0.0)
 
@@ -921,17 +951,18 @@ class TestFrozenValues:
     strings; a refactor of the outer drivers must reproduce every bit."""
 
     @pytest.mark.parametrize("name, expected", [
-        # the six gagliardo and ludwig_smooth values moved when the smooth
-        # fractional route took the ball rule and the Gauss-Jacobi radial
-        # rule; test_exact_references.py pins the four with p = 2 and A = 0
-        # to the closed form, and test_ludwig_rotational_reference below the
-        # two magnetic ones to an unblocked evaluation of the same rules
-        ("gagliardo_tensor", "(49.47968685190315, 2.2696263455598356)"),
-        ("gagliardo_mc", "(32.97133980027131, 1.92157125934697)"),
-        ("gagliardo_1d", "(6.28293859175193, 0.0036979986498746342)"),
-        ("ludwig_smooth_zero", "(12.681543673785592, 2.051008628833806)"),
-        ("ludwig_smooth_rotational_tensor", "(28.08602242389666, 5.153670873874201)"),
-        ("ludwig_smooth_rotational_mc", "(49.01119274121132, 4.387128225893945)"),
+        # the six gagliardo and ludwig_smooth values moved when the first
+        # radial panel took product weights on nodes that do not depend on
+        # s; test_parent_radial_rule below pins them to the Gauss-Jacobi
+        # panel they replaced, test_exact_references.py the four with p = 2
+        # and A = 0 to the closed form, and test_ludwig_rotational_reference
+        # the two magnetic ones to an unblocked evaluation of the same rules
+        ("gagliardo_tensor", "(49.47968685190449, 2.2696263455526235)"),
+        ("gagliardo_mc", "(32.97133980027307, 1.921571259347064)"),
+        ("gagliardo_1d", "(6.28293859175193, 0.0036979986498764106)"),
+        ("ludwig_smooth_zero", "(12.681543673769731, 2.051008628798545)"),
+        ("ludwig_smooth_rotational_tensor", "(28.086022423961797, 5.153670873871473)"),
+        ("ludwig_smooth_rotational_mc", "(49.01119274122835, 4.387128225894137)"),
         ("ludwig_indicator_zero", "(4.801807395924193, 0.2529516337497322)"),
         ("ludwig_indicator_rotational", "(4.206196014177359, 30.3074940925247)"),
         # shrinking_smooth_zero and shrinking_smooth_rotational_mc moved by 1-2
@@ -944,6 +975,45 @@ class TestFrozenValues:
     def test_values(self, name, expected):
         fn, u, spec, budget = _frozen_case(name)
         assert repr(fn(u, spec, budget, seed=1)) == expected
+
+    PARENT_PINS = {
+        "gagliardo_tensor": "(49.47968685190315, 2.2696263455598356)",
+        "gagliardo_mc": "(32.97133980027131, 1.92157125934697)",
+        "gagliardo_1d": "(6.28293859175193, 0.0036979986498746342)",
+        "ludwig_smooth_zero": "(12.681543673785592, 2.051008628833806)",
+        "ludwig_smooth_rotational_tensor": "(28.08602242389666, 5.153670873874201)",
+        "ludwig_smooth_rotational_mc": "(49.01119274121132, 4.387128225893945)",
+    }
+
+    @pytest.mark.parametrize("name", list(PARENT_PINS))
+    def test_parent_radial_rule(self, name, monkeypatch):
+        # the radial rule these values were pinned on before, a 12-node
+        # Gauss-Jacobi panel for h^(alpha - 1) on [0, h_1] whose nodes move
+        # with s, rebuilt here: it reproduces those pins bit for bit, and the
+        # product rule agrees with it to 3e-12 of the value (2.3e-12 at
+        # worst; both lie 1e-8 to 8e-5 from a 40-node reference, an error
+        # of the panels beyond h_1 that the two rules share)
+        fn, u, spec, budget = _frozen_case(name)
+        value, error = fn(u, spec, budget, seed=1)
+
+        def gauss_jacobi_radial(p, s_values, h_max):
+            (s,) = s_values
+            alpha, h_1 = p * (1.0 - s), min(1.0, h_max)
+            x, w = grids.gauss_jacobi(functionals._RADIAL_ORDER, alpha - 1.0)
+            h, w_h = [0.5 * h_1 * (1.0 + x)], [(0.5 * h_1) ** alpha * w]
+            panels = functionals._RADIAL_PANELS
+            breaks = h_1 * (h_max / h_1) ** (np.arange(panels + 1) / panels)
+            for lo, hi in zip(breaks[:-1], breaks[1:]) if h_max > h_1 else ():
+                nodes, weights = grids.gauss_legendre(functionals._PANEL_ORDER, lo, hi)
+                h.append(nodes)
+                w_h.append(weights * nodes ** (alpha - 1.0))
+            return np.concatenate(h), np.concatenate(w_h)[None]
+
+        monkeypatch.setattr(functionals, "_gagliardo_radial", gauss_jacobi_radial)
+        old_value, old_error = fn(u, spec, budget, seed=1)
+        assert repr((old_value, old_error)) == self.PARENT_PINS[name]
+        assert value == pytest.approx(old_value, rel=3e-12, abs=0.0)
+        assert error == pytest.approx(old_error, rel=0.0, abs=3e-12 * old_value)
 
     @pytest.mark.parametrize("name", ["ludwig_smooth_rotational_tensor",
                                       "ludwig_smooth_rotational_mc"])
@@ -958,7 +1028,7 @@ class TestFrozenValues:
         kernel_w = rule.weights / body.gauge(rule.nodes) ** (dim + p * s)
         radius = u.support_radius + budget.margin
         h_max = radius + u.support_radius
-        h, w_h = functionals._gagliardo_radial(p, s, h_max)
+        h, (w_h,) = functionals._gagliardo_radial(p, (s,), h_max)
         tail = h_max ** (-p * s) / (p * s) * kernel_w.sum()
 
         def integrand(x):

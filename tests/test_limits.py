@@ -294,6 +294,35 @@ class TestRunStudy:
                             target_grid=am.GridSpec(resolution=32), threads=4)
         assert rep1.to_json() == rep4.to_json()
 
+    @pytest.mark.parametrize("outer", ["tensor", "montecarlo"])
+    def test_fractional_study_calls(self, outer, monkeypatch):
+        # a fractional study on the ball rule evaluates its whole schedule in
+        # one call, and each point is the value of a call at its s alone; a
+        # Monte Carlo study grows its samples along the schedule and calls
+        # once per point
+        calls = []
+
+        def counting(u, spec, budget, seed=0):
+            calls.append(spec.kind.s)
+            return gagliardo(u, spec, budget, seed)
+
+        gagliardo = am.functionals.gagliardo
+        monkeypatch.setattr(am.functionals, "gagliardo", counting)
+        u, zero, ball = am.gaussian(2), am.zero_potential(2), am.EuclideanBall(2)
+        schedule = am.Schedule("s", (0.8, 0.88, 0.93, 0.96, 0.995))
+        budget = am.IntegrationBudget(outer=outer, resolution=16, samples=32, sphere_nodes=16)
+        rep = am.run_study(u, zero, ball, 2.0, "gagliardo", schedule, budget, seed=4,
+                           target_grid=am.GridSpec(resolution=16))
+        assert len(calls) == (1 if outer == "tensor" else len(schedule.values))
+        if outer == "montecarlo":
+            return
+        assert calls == [schedule.values]
+        for pt in rep.points:
+            spec = am.FunctionalSpec(am.Gagliardo(pt.parameter), 2.0, ball, zero)
+            raw, err = gagliardo(u, spec, budget)
+            assert repr(pt.raw_value) == repr(raw)
+            assert repr(pt.error) == repr((1.0 - pt.parameter) * err)
+
     def test_monotone_refinement(self):
         # doubling the budget moves each point less than its reported error
         u = am.gaussian(2)
