@@ -108,13 +108,14 @@ class Polytope:
             inside &= nx[:, f] <= offset + 1e-12
         return bool(inside[0]) if single else inside
 
-    def plane_distance(self, x) -> np.ndarray:
-        """Distance from each point of ``x`` (..., dim) to the nearest facet
-        hyperplane, min over f of |offset_f - n_f . x|, one facet at a time."""
+    def signed_distance(self, x) -> np.ndarray:
+        """max over f of n_f . x - offset_f for each point of ``x`` (..., dim),
+        one facet at a time.  Inside the region it is minus the distance to the
+        boundary; outside it is a lower bound on the distance to the region."""
         x = np.asarray(x, dtype=float)
-        dist = np.full(x.shape[:-1], np.inf)
+        dist = np.full(x.shape[:-1], -np.inf)
         for normal, offset in zip(self.normals, self.offsets):
-            np.minimum(dist, np.abs(offset - np.einsum("...k,k->...", x, normal)), out=dist)
+            np.maximum(dist, np.einsum("...k,k->...", x, normal) - offset, out=dist)
         return dist
 
     def circumradius(self) -> float:
@@ -148,7 +149,7 @@ class Polytope:
                         areas[i] = 0.0
         return areas
 
-    def ray_interval(self, x, sigma) -> tuple[np.ndarray, np.ndarray]:
+    def ray_interval(self, x, sigma, reach=np.inf) -> tuple[np.ndarray, np.ndarray]:
         """Parameter interval {t : x + t*sigma in polytope}, vectorized.
 
         ``x`` and ``sigma`` broadcast to a common leading shape with trailing
@@ -163,6 +164,15 @@ class Polytope:
         (ray, facet) array is built.  A facet parallel to the ray
         (``|sigma . n_f| <= 1e-300``) bounds nothing, unless the point lies
         outside it, in which case the interval is empty (t_hi = -inf).
+
+        ``reach`` skips each facet on which every point of ``x`` has a slack
+        above ``reach``.  For unit ``sigma`` such a facet bounds t only beyond
+        ``reach``: above it on rays that leave through the facet, below
+        -``reach`` on rays that enter.  So once both ends are clipped into
+        [0, c], with c a little below ``reach`` (the callers leave a factor
+        1.0000001 for the rounding of sigma . n_f), every bit is that of the
+        full fold.  A facet with a negative slack is never skipped, and the
+        default skips none.
         """
         x = np.asarray(x, dtype=float)
         sigma = np.asarray(sigma, dtype=float)
@@ -175,6 +185,8 @@ class Polytope:
         bound = np.empty(shape)
         for f, offset in enumerate(self.offsets):
             slack = offset - nx[..., f]  # >= 0 inside
+            if reach < np.inf and not (slack <= reach).any():
+                continue
             ns_f = ns[..., f]
             pos = ns_f > 1e-300
             neg = ns_f < -1e-300

@@ -37,10 +37,11 @@ class GridSpec:
 
 def _integrate_gradient(u: ComplexField, a: MagneticPotential, grid: GridSpec, norm_pow):
     """integral of norm_pow(grad u - i A u) over the grid, _CHUNK points at a
-    time; points outside the field's gradient band contribute 0."""
+    time; at A = 0 points outside the field's gradient band contribute 0.  At
+    A != 0 every point counts: -iAu is nonzero wherever u is."""
     radius = grid.radius if grid.radius is not None else u.support_radius
     tg = trapezoid_grid(u.dim, radius, grid.resolution)
-    live = None if u.gradient_band is None else u.gradient_band(tg.points)
+    live = u.gradient_band(tg.points) if u.gradient_band is not None and a.is_zero else None
     return tg.integrate(chunk_values(lambda x: norm_pow(magnetic_gradient(u, a, x)), tg.points,
                                      live, _CHUNK))
 

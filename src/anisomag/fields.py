@@ -336,9 +336,11 @@ def _mollify_indicator(u: ComplexField, m: int, ang) -> ComplexField:
     cum_d = CubicSpline(grid, np.concatenate([[0.0], cumulative_simpson(dvals, x=grid)]))
     mass = float(cum_b(1.0)) * ang.total_weight()
 
+    reach = (1.0 / m) * 1.0000001  # rho vanishes beyond t = 1/m
+
     def _cut(x):
         # u(x - t sigma) = 1 for t in [lo, hi] (unit-scale rho = m t in [0, 1])
-        t_lo, t_hi = region.ray_interval(x[..., None, :], -ang.nodes)
+        t_lo, t_hi = region.ray_interval(x[..., None, :], -ang.nodes, reach)
         lo = np.clip(t_lo * m, 0.0, 1.0)
         hi = np.clip(t_hi * m, 0.0, 1.0)
         return lo, np.maximum(hi, lo)
@@ -355,7 +357,7 @@ def _mollify_indicator(u: ComplexField, m: int, ang) -> ComplexField:
         return out.astype(complex) * (m / mass)
 
     def band(x):
-        return region.plane_distance(x) <= 1.0 / m + 1e-12
+        return np.abs(region.signed_distance(x)) <= 1.0 / m + 1e-12
 
     return ComplexField(dim, ev, gr, u.support_radius + 1.0 / m, True,
                         f"mollified({u.name}, m={m})", gradient_band=band)

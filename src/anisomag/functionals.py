@@ -870,9 +870,13 @@ def _bbm_indicator(u, spec, budget):
     # stay below glibc's 128 KiB mmap threshold (see _BLOCK_ELEMENTS)
     ray_slice = _BLOCK_ELEMENTS // (4 * _RADIAL_ORDER)
 
+    # rays are clipped to the cut, so neither a point nor a facet farther than
+    # the cut from the boundary changes a value
+    reach = float(np.max(cut)) * 1.0000001
+
     def live(points):
-        # at A = 0 only the band within the cut of the facet planes contributes
-        return region.plane_distance(points) <= float(np.max(cut)) * 1.0000001
+        # at A = 0 only the band within the cut of the boundary contributes
+        return np.abs(region.signed_distance(points)) <= reach
 
     def primitive(lo, hi):
         return (hi**e - lo**e) / e if e != 0 else np.log(hi / lo)
@@ -892,7 +896,7 @@ def _bbm_indicator(u, spec, budget):
         return out
 
     def values_fn(x_chunk):
-        t_lo, t_hi = region.ray_interval(x_chunk[:, None, :], rule.nodes[None, :, :])
+        t_lo, t_hi = region.ray_interval(x_chunk[:, None, :], rule.nodes[None, :, :], reach)
         inside = region.contains(x_chunk)[:, None]
         # 0 < a <= b <= cut; the floor keeps h^e finite where a ray misses
         np.minimum(np.maximum(t_lo, 1e-300, out=t_lo), cut, out=t_lo)

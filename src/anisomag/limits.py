@@ -25,6 +25,7 @@ from .functionals import (
     FunctionalSpec,
     Gagliardo,
     IntegrationBudget,
+    LudwigFamily,
     Nguyen,
     ShrinkingUniformFamily,
 )
@@ -338,11 +339,19 @@ def run_study(
     # and each point's seed derives from its index, so the thread count can
     # never change any value.  A fractional study of a smooth field on the
     # ball rule is one call: the rule's nodes depend on neither a point's seed
-    # nor its t, one pass evaluates every s, and ``threads`` does nothing there
-    if kind == "gagliardo" and u.smooth and budget.outer == "tensor":
-        spec = FunctionalSpec(Gagliardo(tuple(float(v) for v in schedule.values)), p, body, a)
-        raws, errs = functionals.gagliardo(u, spec, budget)
-        points = [study_point(i, raw, err) for i, (raw, err) in enumerate(zip(raws, errs))]
+    # nor its t, one pass evaluates every s, and ``threads`` does nothing there.
+    # A Ludwig-family mollified study of a smooth field at A = 0 is the same
+    # pass at the s_n, each point p (1 - s_n) times the raw value, as ``bbm``
+    # scales it (the fractional seminorm takes no potential)
+    ludwig = kind == "bbm" and isinstance(mollifier_family, LudwigFamily) and a.is_zero
+    if (kind == "gagliardo" or ludwig) and u.smooth and budget.outer == "tensor":
+        s_values = tuple(mollifier_family.s_value(int(v)) if ludwig else float(v)
+                         for v in schedule.values)
+        raws, errs = functionals.gagliardo(u, FunctionalSpec(Gagliardo(s_values), p, body, a),
+                                           budget)
+        factors = [p * (1.0 - s) if ludwig else 1.0 for s in s_values]
+        points = [study_point(i, f * raw, f * err)
+                  for i, (f, raw, err) in enumerate(zip(factors, raws, errs))]
     elif threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -325,3 +325,131 @@ class TestRayInterval:
         assume(np.all(np.abs(region.normals @ point - region.offsets) > 1e-9))
         t_lo, t_hi = region.ray_interval(x, sigma)
         assert region.contains(point) == bool(t_lo <= t <= t_hi)
+
+    @staticmethod
+    def _reach_points(region, rng):
+        """Points inside, on facets (dyadic), just outside and far outside."""
+        dim = region.dim
+        x = rng.uniform(-1.2, 1.2, (90, dim))
+        x[:30] = np.round(x[:30] * 8.0) / 16.0
+        # points at slack 0, +-1/64 and 1/4 from each facet, off its centre
+        for normal, offset in zip(region.normals, region.offsets):
+            for gap in (0.0, 1.0 / 64.0, -1.0 / 64.0, 0.25):
+                x = np.vstack([x, (offset - gap) * normal + 0.1 * rng.uniform(-1, 1, dim)])
+        return x
+
+    @staticmethod
+    def _unit_directions(region, rng):
+        dim = region.dim
+        sig = rng.standard_normal((40, dim))
+        sig /= np.linalg.norm(sig, axis=1)[:, None]
+        return np.vstack([sig, np.eye(dim), -np.eye(dim), region.normals, -region.normals])
+
+    @pytest.mark.parametrize("name", ["square", "hexagon", "box3"])
+    def test_reach_keeps_the_clipped_bits(self, name):
+        # each caller's clip of the interval with facets beyond reach skipped
+        # equals the full fold's clip, byte for byte, however the points are
+        # split into calls (which changes the facets a call skips)
+        region = ray_regions()[name]
+        rng = np.random.default_rng(17)
+        x = self._reach_points(region, rng)
+        sig = self._unit_directions(region, rng)
+        cut = rng.uniform(0.02, 0.1, len(sig))  # per direction, as 1/(n g)
+        reach = float(cut.max()) * 1.0000001
+        m = 16  # the mollifier clips t m into [0, 1]
+        skipped = False  # some call's unclipped interval differs: a facet was skipped
+        for chunk in (len(x), 7, 1):
+            for start in range(0, len(x), chunk):
+                xs = x[start : start + chunk, None, :]
+                t_lo, t_hi = broadcast_ray_interval(region, xs, sig[None])
+                got = region.ray_interval(xs, sig[None], reach)
+                skipped |= not np.array_equal(got[1], t_hi)
+                for g, w in zip(clip_indicator(*got, cut), clip_indicator(t_lo, t_hi, cut)):
+                    assert_bitwise_equal(g, w)
+                t_lo, t_hi = broadcast_ray_interval(region, xs, -sig)
+                got = region.ray_interval(xs, -sig, (1.0 / m) * 1.0000001)
+                for g, w in zip(clip_mollifier(*got, m), clip_mollifier(t_lo, t_hi, m)):
+                    assert_bitwise_equal(g, w)
+        assert skipped
+
+    @pytest.mark.parametrize("name", ["square", "box3"])
+    def test_reach_equal_to_a_slack_keeps_the_facet(self, name):
+        region = ray_regions()[name]
+        dim = region.dim
+        # dyadic points at slack exactly 1/8 from facet 0 (normal e_1) and
+        # farther than 1/8 from every other facet
+        x = np.zeros((3, dim))
+        x[:, 0] = region.offsets[0] - 0.125
+        x[:, 1] = [-0.0625, 0.0, 0.0625]
+        nx = np.einsum("nk,fk->nf", x, region.normals)
+        slack = region.offsets - nx
+        assert slack[:, 0].tolist() == [0.125] * 3 and np.all(slack[:, 1:] > 0.125)
+        sig = self._unit_directions(region, np.random.default_rng(3))
+        want = broadcast_ray_interval(region, x[:, None, :], sig[None])
+        keep = region.ray_interval(x[:, None, :], sig[None], 0.125)
+        skip = region.ray_interval(x[:, None, :], sig[None], np.nextafter(0.125, 0.0))
+        # at reach 1/8 facet 0 alone is folded in: the rays that leave through
+        # it end at 1/8 / sigma_1, and along e_1 at the reach itself; below it
+        # no facet is folded in
+        leave = sig[:, 0] > 0.0
+        assert np.all(np.isfinite(keep[1][:, leave])) and np.all(keep[1][:, ~leave] == np.inf)
+        assert np.all(keep[1][:, np.all(sig == np.eye(dim)[0], axis=1)] == 0.125)
+        assert np.all(skip[1] == np.inf) and np.all(skip[0] == -np.inf)
+        cut = np.full(len(sig), 0.125 / 1.0000001)
+        for g, w in zip(clip_indicator(*keep, cut), clip_indicator(*want, cut)):
+            assert_bitwise_equal(g, w)
+
+def clip_indicator(t_lo, t_hi, cut):
+    """The mollified functional's indicator path: [a, b] inside [1e-300, cut]."""
+    lo = np.minimum(np.maximum(t_lo, 1e-300), cut)
+    return lo, np.minimum(np.maximum(t_hi, lo), cut)
+
+
+def clip_mollifier(t_lo, t_hi, m):
+    """The mollified indicator: the interval in units of 1/m inside [0, 1]."""
+    lo = np.clip(t_lo * m, 0.0, 1.0)
+    return lo, np.maximum(np.clip(t_hi * m, 0.0, 1.0), lo)
+
+
+def region_distance(name, region, x):
+    """Oracle: the Euclidean distance from each point of x to a region of
+    ray_regions(), by the box formula or, for the hexagon, the nearest edge."""
+    if name != "hexagon":
+        dim = region.dim
+        hi, lo = region.offsets[:dim], -region.offsets[dim:]
+        gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
+        return np.sqrt(np.einsum("nk,nk->n", gap, gap))
+    verts = region.vertices
+    verts = verts[np.argsort(np.arctan2(verts[:, 1], verts[:, 0]))]
+    a, ab = verts, np.roll(verts, -1, axis=0) - verts
+    t = np.clip(np.einsum("nek,ek->ne", x[:, None] - a, ab) / np.einsum("ek,ek->e", ab, ab),
+                0.0, 1.0)
+    off = x[:, None] - (a + t[..., None] * ab)
+    return np.sqrt(np.einsum("nek,nek->ne", off, off)).min(axis=1)
+
+
+class TestSignedDistance:
+    @pytest.mark.parametrize("name", ["square", "hexagon", "box3"])
+    def test_against_slack_and_distance(self, name):
+        region = ray_regions()[name]
+        rng = np.random.default_rng(23)
+        x = rng.uniform(-1.5, 1.5, (600, region.dim))
+        sd = region.signed_distance(x)
+        slack = region.offsets - np.einsum("nk,fk->nf", x, region.normals)
+        inside = region.contains(x)
+        assert inside.sum() > 20 and (~inside).sum() > 20
+        # inside: minus the distance to the boundary, the smallest slack
+        np.testing.assert_allclose(sd[inside], -slack[inside].min(axis=1), rtol=0.0, atol=1e-15)
+        # outside: positive and at most the distance to the region
+        dist = region_distance(name, region, x[~inside])
+        assert np.all(sd[~inside] > 0.0)
+        assert np.all(sd[~inside] <= dist + 1e-12)
+        # it is not the plane distance: far from a corner it keeps growing
+        assert sd[~inside].max() > 0.9
+
+    def test_batch_shape(self):
+        region = ray_regions()["box3"]
+        x = np.random.default_rng(2).uniform(-1, 1, (4, 5, 3))
+        sd = region.signed_distance(x)
+        assert sd.shape == (4, 5)
+        assert_bitwise_equal(sd.ravel(), region.signed_distance(x.reshape(-1, 3)))

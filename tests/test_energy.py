@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +134,31 @@ class TestTotalVariation:
         with pytest.raises(ValueError):
             am.total_variation_smooth(am.gaussian(2), am.zero_potential(2),
                                       am.cube(2), route="sideways")
+
+
+class TestGradientBand:
+    """A mollified indicator's gradient lives in a band about the boundary, but
+    -iAu lives wherever u does, so the band may drop points at A = 0 only."""
+
+    grid = am.GridSpec(resolution=64, radius=0.65, sphere_nodes=64)
+
+    def test_zero_potential_value(self):
+        # pinned before the band hugged the boundary: the points it now drops
+        # outside the region have a zero integrand
+        um = am.mollify(am.indicator(am.unit_square()), 10)
+        val = am.total_variation_smooth(um, am.zero_potential(2), am.EuclideanBall(2), self.grid)
+        assert repr(val) == "(15.482957809832474, 0.09167277458485223)"
+
+    def test_magnetic_matches_unbanded(self):
+        # with the band the interior's |A u| was dropped: 15.8724 here
+        um = am.mollify(am.indicator(am.unit_square()), 10)
+        a, disk = am.rotational_potential(1.0), am.EuclideanBall(2)
+        val, err = am.total_variation_smooth(um, a, disk, self.grid)
+        ref, ref_err = am.total_variation_smooth(replace(um, gradient_band=None), a, disk,
+                                                 self.grid)
+        assert val == pytest.approx(ref, rel=1e-12)
+        assert err == pytest.approx(ref_err, rel=1e-12)
+        assert val > 16.2
 
 
 class TestAnisotropicPerimeter:

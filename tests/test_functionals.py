@@ -789,6 +789,26 @@ class TestIndicatorFrozenValues:
                            am.IntegrationBudget(outer="tensor", resolution=32))
         assert repr(got) == "(43.82448617058196, 23.55325689772127)"
 
+    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("region", ["square", "hexagon"])
+    @pytest.mark.parametrize("body", [am.EuclideanBall(2), am.cube(2)], ids=["disk", "cube"])
+    def test_band_and_reach_change_no_bit(self, n, region, body, monkeypatch):
+        # at A = 0 the band keeps only points within the cut of the boundary,
+        # and each call folds in only the facets within the cut of one of its
+        # points; every point live and every facet folded in give the same bytes
+        region = {"square": am.unit_square(),
+                  "hexagon": am.regular_hexagon(0.4).polytope}[region]
+        u = am.indicator(region)
+        spec = am.FunctionalSpec(am.Bbm(am.ShrinkingUniformFamily(2, 1.0), n), 1.0, body,
+                                 am.zero_potential(2))
+        budget = am.IntegrationBudget(outer="tensor", resolution=32)
+        banded = am.bbm(u, spec, budget)
+        monkeypatch.setattr(region, "signed_distance", lambda x: np.zeros(np.shape(x)[:-1]))
+        monkeypatch.setattr(region, "ray_interval", lambda x, sigma, reach=np.inf: (
+            am.Polytope.ray_interval(region, x, sigma)))
+        every = am.bbm(u, spec, budget)
+        assert np.array(banded).tobytes() == np.array(every).tobytes()
+
 
 def _magnetic_indicator_case(name):
     """(functional, field, spec, budget) of the two magnetic indicator cases."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -322,6 +323,42 @@ class TestRunStudy:
             raw, err = gagliardo(u, spec, budget)
             assert repr(pt.raw_value) == repr(raw)
             assert repr(pt.error) == repr((1.0 - pt.parameter) * err)
+
+    @pytest.mark.parametrize("potential", ["zero", "rotational"])
+    def test_ludwig_study_is_one_fractional_pass(self, potential, monkeypatch):
+        # a Ludwig-family mollified study of a smooth field at A = 0 is one
+        # fractional pass over the s_n, and each point is bit for bit the bbm
+        # value at n; the fractional seminorm takes no potential, so a magnetic
+        # study calls bbm once per point
+        calls = {"gagliardo": [], "bbm": []}
+
+        def counting(name, fn):
+            def wrapped(u, spec, budget, seed=0):
+                calls[name].append(spec.kind)
+                return fn(u, spec, budget, seed)
+            return wrapped
+
+        gagliardo, bbm = am.functionals.gagliardo, am.functionals.bbm
+        monkeypatch.setattr(am.functionals, "gagliardo", counting("gagliardo", gagliardo))
+        monkeypatch.setattr(am.functionals, "bbm", counting("bbm", bbm))
+        u, ball = am.modulated_gaussian(2, [1.0, 0.5]), am.EuclideanBall(2)
+        a = am.zero_potential(2) if potential == "zero" else am.rotational_potential(0.8)
+        fam = am.LudwigFamily(2, 2.0)
+        schedule = am.Schedule("n", (4, 8, 16, 32))
+        budget = am.IntegrationBudget(outer="tensor", resolution=16, sphere_nodes=16)
+        rep = am.run_study(u, a, ball, 2.0, "bbm", schedule, budget, seed=4,
+                           mollifier_family=fam, target_grid=am.GridSpec(resolution=16))
+        s_values = tuple(fam.s_value(n) for n in schedule.values)
+        if potential == "zero":
+            assert calls == {"gagliardo": [am.Gagliardo(s_values)], "bbm": []}
+        else:
+            assert calls == {"gagliardo": [], "bbm": [am.Bbm(fam, n) for n in schedule.values]}
+        for i, (n, pt) in enumerate(zip(schedule.values, rep.points)):
+            spec = am.FunctionalSpec(am.Bbm(fam, n), 2.0, ball, a)
+            value, err = bbm(u, spec, replace(budget, seed=am.derive_seed(4, "study", "bbm", i)),
+                             seed=i)
+            assert (repr(pt.value), repr(pt.raw_value), repr(pt.error)) == (
+                repr(value), repr(value), repr(err))
 
     def test_monotone_refinement(self):
         # doubling the budget moves each point less than its reported error
