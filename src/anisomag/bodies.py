@@ -3,7 +3,8 @@
 A body K defines the anisotropic norm ``gauge(x) = inf{l > 0 : x/l in K}``.
 All shapes here have closed-form gauges, which keeps the singular kernels of
 the nonlocal functionals cheap and exact.  Supported shapes: Euclidean balls,
-ellipsoids, symmetric polytopes (facet representation) and l_q balls.
+ellipsoids, symmetric polytopes (facet representation), among them the cube,
+and l_q balls for 1 <= q < inf.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ class Polytope:
     """Bounded intersection of halfspaces {x : normals @ x <= offsets}.
 
     The facet normals are stored unit-length.  Vertices, volume and facet
-    areas are computed lazily via scipy's qhull bindings and cached; they are
-    needed for circumradii, uniform sampling and perimeter computations.
+    areas are computed lazily via scipy's qhull bindings (in 1-D from the
+    offsets) and cached; they are needed for circumradii, uniform sampling and
+    perimeter computations.
     """
 
     def __init__(self, normals, offsets):
@@ -76,6 +78,10 @@ class Polytope:
             interior, inradius = self.chebyshev_center()
             if inradius <= 1e-12:
                 self._vertices = np.empty((0, self.dim))
+                return self._vertices
+            if self.dim == 1:  # qhull refuses dimension 1: the ends are the tightest offsets
+                ends, up = self.offsets / self.normals[:, 0], self.normals[:, 0] > 0.0
+                self._vertices = np.array([[ends[~up].max()], [ends[up].min()]])
                 return self._vertices
             from scipy.spatial import HalfspaceIntersection
 
@@ -395,14 +401,12 @@ def _require_symmetric(poly: Polytope) -> None:
 
 
 class LqBall(ConvexBody):
-    """Unit ball of the l_q norm, q in [1, inf]; q = inf is the cube [-1, 1]^N."""
+    """Unit ball of the l_q norm, q in [1, inf); the cube is ``cube(dim)``."""
 
     def __init__(self, dim: int, q: float):
-        if not (q >= 1.0):
-            raise ValueError("q must satisfy q >= 1")
-        if math.isinf(q):
-            r_in, r_out = 1.0, math.sqrt(dim)
-        elif q >= 2.0:
+        if not (1.0 <= q < math.inf):
+            raise ValueError("q must satisfy 1 <= q < inf; the l_inf ball is cube(dim)")
+        if q >= 2.0:
             r_in, r_out = 1.0, dim ** (0.5 - 1.0 / q)
         else:
             r_in, r_out = dim ** (0.5 - 1.0 / q), 1.0
@@ -411,36 +415,23 @@ class LqBall(ConvexBody):
 
     def gauge(self, x):
         pts, single = self._check(x)
-        if math.isinf(self.q):
-            g = np.abs(pts).max(axis=1)
-        else:
-            g = np.einsum("nk->n", np.abs(pts) ** self.q) ** (1.0 / self.q)
+        g = np.einsum("nk->n", np.abs(pts) ** self.q) ** (1.0 / self.q)
         return float(g[0]) if single else g
 
     def contains(self, x):
         pts, single = self._check(x)
-        if math.isinf(self.q):
-            inside = np.all(np.abs(pts) <= 1.0 + 1e-14, axis=1)
-        else:
-            inside = np.einsum("nk->n", np.abs(pts) ** self.q) <= 1.0 + 1e-12
+        inside = np.einsum("nk->n", np.abs(pts) ** self.q) <= 1.0 + 1e-12
         return bool(inside[0]) if single else inside
 
     def volume(self) -> float:
-        if math.isinf(self.q):
-            return 2.0**self.dim
         return (2.0 * math.gamma(1.0 + 1.0 / self.q)) ** self.dim / math.gamma(
             1.0 + self.dim / self.q
         )
 
-    def facet_angles(self):
-        if self.dim == 2 and math.isinf(self.q):
-            return np.array([-3 * math.pi / 4, -math.pi / 4, math.pi / 4, 3 * math.pi / 4])
-        return None
 
-
-def cube(dim: int) -> LqBall:
-    """The cube [-1, 1]^dim."""
-    return LqBall(dim, math.inf)
+def cube(dim: int) -> SymmetricPolytope:
+    """The cube [-1, 1]^dim, the polytope with facet normals +/- e_k at offset 1."""
+    return SymmetricPolytope(np.vstack([np.eye(dim), -np.eye(dim)]), np.ones(2 * dim))
 
 
 def regular_polygon(sides: int, inradius: float = 1.0) -> SymmetricPolytope:

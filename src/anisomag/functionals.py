@@ -157,8 +157,6 @@ class FunctionalSpec:
         if isinstance(self.kind, Gagliardo):
             if not self.kind.s_values or not all(0.0 < s < 1.0 for s in self.kind.s_values):
                 raise ValueError("s must lie in (0, 1)")
-            if not self.potential.is_zero:
-                raise ValueError("the fractional seminorm requires a zero potential")
         elif isinstance(self.kind, Nguyen):
             if self.kind.delta <= 0.0:
                 raise ValueError("delta must be positive")
@@ -189,6 +187,9 @@ def _validate(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget, 
     if isinstance(spec.kind, Nguyen):
         raise ValueError("indicator fields are rejected by the threshold functional "
                          "(the delta-characterization fails for BV)")
+    if isinstance(spec.kind, Gagliardo) and not spec.potential.is_zero:
+        raise ValueError("the fractional seminorm of an indicator field requires a zero "
+                         "potential (the mollified functional takes a magnetic indicator)")
     if spec.p != 1.0:
         raise ValueError("indicator fields are restricted to p = 1")
     if u.region is None:

@@ -340,10 +340,9 @@ def run_study(
     # never change any value.  A fractional study of a smooth field on the
     # ball rule is one call: the rule's nodes depend on neither a point's seed
     # nor its t, one pass evaluates every s, and ``threads`` does nothing there.
-    # A Ludwig-family mollified study of a smooth field at A = 0 is the same
-    # pass at the s_n, each point p (1 - s_n) times the raw value, as ``bbm``
-    # scales it (the fractional seminorm takes no potential)
-    ludwig = kind == "bbm" and isinstance(mollifier_family, LudwigFamily) and a.is_zero
+    # A Ludwig-family mollified study of a smooth field is the same pass at the
+    # s_n, each point p (1 - s_n) times the raw value, as ``bbm`` scales it
+    ludwig = kind == "bbm" and isinstance(mollifier_family, LudwigFamily)
     if (kind == "gagliardo" or ludwig) and u.smooth and budget.outer == "tensor":
         s_values = tuple(mollifier_family.s_value(int(v)) if ludwig else float(v)
                          for v in schedule.values)

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import anisomag as am
+from anisomag import norms, spheres
 
 
 def bodies_catalog():
@@ -40,10 +41,11 @@ class TestGauge:
         assert e.gauge([2.0, 0.0]) == pytest.approx(1.0, abs=1e-14)
 
     def test_polytope_matches_lq_cube(self):
+        # the l_inf ball's closed form, from a polytope given by integer normals
         poly = am.SymmetricPolytope([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 1, 1])
         rng = np.random.default_rng(1)
         x = rng.standard_normal((200, 2)) * 3
-        np.testing.assert_allclose(poly.gauge(x), am.cube(2).gauge(x), rtol=1e-12)
+        assert_bitwise_equal(poly.gauge(x), max_abs(x))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -109,12 +111,14 @@ class TestNormProperties:
             x = rng.standard_normal((500, body.dim))
             np.testing.assert_allclose(body.gauge(-x), body.gauge(x), rtol=1e-13)
 
+    HEXAGON = am.regular_hexagon()
     PROPERTY_BODIES = [
         am.EuclideanBall(2), am.EuclideanBall(3),
         am.Ellipsoid([[2.0, 0.5], [0.5, 1.0]]),
         am.Ellipsoid([[2.0, 0.5, 0.1], [0.5, 1.0, -0.3], [0.1, -0.3, 0.7]]),
-        am.regular_hexagon(),
-        *(am.LqBall(dim, q) for dim in (2, 3) for q in (1.5, 3.0, math.inf)),
+        HEXAGON,
+        *(am.LqBall(dim, q) for dim in (2, 3) for q in (1.5, 3.0)),
+        *(pytest.param(am.cube(dim), id=f"cube-{dim}d") for dim in (2, 3)),
     ]
 
     @staticmethod
@@ -132,17 +136,80 @@ class TestNormProperties:
     @pytest.mark.parametrize("body", PROPERTY_BODIES, ids=lambda b: f"{b.name}-{b.dim}d")
     @given(data=st.data())
     def test_origin_symmetry_property(self, body, data):
-        # exact for the gauges built from |x_k| and quadratic forms; the
-        # hexagon's opposite facet normals are negatives of each other to
-        # rounding only, so there the two sides may differ in the last bits
+        # exact for the gauges built from |x_k| and quadratic forms, and for
+        # the cube's normals +/- e_k; the hexagon's opposite facet normals are
+        # negatives of each other to rounding only, so there the two sides
+        # may differ in the last bits
         x = data.draw(self._point(body.dim))
-        rel = 1e-12 if isinstance(body, am.SymmetricPolytope) else 0.0
+        rel = 1e-12 if body is self.HEXAGON else 0.0
         assert body.gauge(-x) == pytest.approx(body.gauge(x), rel=rel, abs=0.0)
 
     def test_zero_iff_origin(self):
         for body in bodies_catalog():
             assert body.gauge(np.zeros(body.dim)) == 0.0
             assert body.gauge(1e-8 * np.ones(body.dim)) > 0.0
+
+
+def max_abs(x):
+    """Oracle: the cube's gauge in closed form, max_k |x_k|."""
+    return np.abs(x).max(axis=-1)
+
+
+class TestCube:
+    """The cube is the symmetric polytope with normals +/- e_k at offset 1,
+    and agrees bit for bit with the closed forms of [-1, 1]^d."""
+
+    @staticmethod
+    def rules(body):
+        """Every sphere rule the package builds for ``body``, coarse rules too."""
+        rng = np.random.default_rng(body.dim)
+        vectors = [np.eye(body.dim)[0], rng.standard_normal(body.dim),
+                   rng.standard_normal(body.dim) + 1j * rng.standard_normal(body.dim)]
+        built = [spheres.sphere_rule(body.dim, body=body)]
+        built += [norms.adapted_moment_rule(body, v) for v in vectors]
+        return built + [r.coarse for r in built if r.coarse is not None]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_gauge_is_max_abs(self, dim):
+        body = am.cube(dim)
+        assert isinstance(body, am.SymmetricPolytope)
+        x = np.random.default_rng(dim).standard_normal((20_000, dim)) * 1.5
+        assert_bitwise_equal(body.gauge(x), max_abs(x))
+        np.testing.assert_array_equal(body.contains(x), max_abs(x) <= 1.0)
+        for rule in self.rules(body):
+            assert_bitwise_equal(body.gauge(rule.nodes), max_abs(rule.nodes))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_volume_and_radii(self, dim):
+        body = am.cube(dim)
+        assert body.volume() == 2.0**dim
+        assert (body.r_in, body.r_out) == (1.0, math.sqrt(dim))
+
+    def test_facet_angles(self):
+        angles = am.cube(2).facet_angles()
+        np.testing.assert_array_equal(
+            angles, [-3 * math.pi / 4, -math.pi / 4, math.pi / 4, 3 * math.pi / 4])
+        assert am.cube(3).facet_angles() is None
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_lq_ball_rejects_infinity(self, dim):
+        with pytest.raises(ValueError, match=r"cube\(dim\)"):
+            am.LqBall(dim, math.inf)
+
+
+class TestIntervalRegion:
+    def test_box_in_one_dimension(self):
+        box = am.box_region([0.25], [0.5])
+        np.testing.assert_array_equal(box.vertices, [[-0.25], [0.75]])
+        assert box.volume() == 1.0
+        np.testing.assert_array_equal(box.facet_areas(), [1.0, 1.0])
+        assert box.circumradius() == 0.75
+        u = am.indicator(box)
+        np.testing.assert_array_equal(u.evaluate(np.array([[-0.5], [0.0], [0.7], [0.8]])),
+                                      [0.0, 1.0, 1.0, 0.0])
+
+    def test_empty_interval(self):
+        assert am.box_region([0.3], [0.0]).volume() == 0.0
 
 
 class TestSampling:

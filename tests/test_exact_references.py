@@ -19,7 +19,8 @@ and the shrinking-family study tends to p E.  Its value at each n is
     F(h) = 2 pi (1 - cos(k.h) exp(-(1/4 + b^2/16) |h|^2)).
 
 The sphere integrals are 1-D quadratures here, independent of the package's
-sphere rules.
+sphere rules.  One p = 1 case closes the file: the indicator of an interval,
+whose shrinking-family value is its anisotropic perimeter at every n.
 """
 
 from __future__ import annotations
@@ -150,3 +151,19 @@ def test_shrinking_magnetic(name, body):
         assert abs(pt.value - exact) <= 3.0 * pt.error, pt.parameter
     ex = rep.extrapolation
     assert abs(ex.limit - p * energy) <= 3.0 * ex.limit_stderr
+
+
+def test_interval_indicator_perimeter():
+    # E = [-1/2, 1/2] on K = [-1, 1]: at p = 1 the shrinking family's value
+    # is Per_K(E) = 4 at every n.  Per direction the cut c = 1/n is at most
+    # the chord L = 1, and the x-integral of |1_E(x + h) - 1_E(x)| is
+    # 2 min(h, L), so n * int_0^c 2 min(h, L) / h dh = 2 n c = 2, over the
+    # two directions of S^0
+    region, body = am.box_region([0.0], [0.5]), am.cube(1)
+    assert am.anisotropic_perimeter(region, body) == 4.0
+    u, zero = am.indicator(region), am.zero_potential(1)
+    family = am.ShrinkingUniformFamily(1, 1.0)
+    budget = am.IntegrationBudget(outer="tensor", resolution=256)
+    for n in (2, 4, 16):
+        value, error = am.bbm(u, am.FunctionalSpec(am.Bbm(family, n), 1.0, body, zero), budget)
+        assert abs(value - 4.0) <= 3.0 * error, n

@@ -67,9 +67,27 @@ class TestSpecValidation:
                 am.FunctionalSpec(am.Gagliardo(bad), 2.0, ball, zero)
 
     def test_gagliardo_needs_zero_potential(self):
+        # on an indicator the fractional path is the symmetric A = 0 kernel
         ball, _ = make_specs()
-        with pytest.raises(ValueError):
-            am.FunctionalSpec(am.Gagliardo(0.5), 2.0, ball, am.rotational_potential(1.0))
+        spec = am.FunctionalSpec(am.Gagliardo(0.5), 1.0, ball, am.rotational_potential(1.0))
+        budget = am.IntegrationBudget(outer="tensor", resolution=8, sphere_nodes=16)
+        with pytest.raises(ValueError, match="zero potential"):
+            am.gagliardo(am.indicator(am.unit_square()), spec, budget)
+
+    def test_gagliardo_takes_a_potential_on_smooth_fields(self):
+        # the magnetic fractional seminorm: the Ludwig family at n is
+        # p (1 - s_n) times it, bit for bit
+        ball, _ = make_specs()
+        a, fam, p = am.rotational_potential(0.8), am.LudwigFamily(2, 2.0), 2.0
+        u = am.modulated_gaussian(2, [1.0, 0.5])
+        budget = am.IntegrationBudget(outer="tensor", resolution=12, sphere_nodes=16)
+        for n in (4, 16):
+            s = fam.s_value(n)
+            raw, err = am.gagliardo(u, am.FunctionalSpec(am.Gagliardo(s), p, ball, a), budget)
+            value, value_err = am.bbm(u, am.FunctionalSpec(am.Bbm(fam, n), p, ball, a), budget)
+            assert raw > 0.0
+            assert (repr(p * (1.0 - s) * raw), repr(p * (1.0 - s) * err)) == (
+                repr(value), repr(value_err))
 
     def test_delta_positive(self):
         ball, zero = make_specs()

@@ -326,10 +326,9 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("potential", ["zero", "rotational"])
     def test_ludwig_study_is_one_fractional_pass(self, potential, monkeypatch):
-        # a Ludwig-family mollified study of a smooth field at A = 0 is one
-        # fractional pass over the s_n, and each point is bit for bit the bbm
-        # value at n; the fractional seminorm takes no potential, so a magnetic
-        # study calls bbm once per point
+        # a Ludwig-family mollified study of a smooth field is one fractional
+        # pass over the s_n, magnetic or not, and each point is bit for bit
+        # the bbm value at n
         calls = {"gagliardo": [], "bbm": []}
 
         def counting(name, fn):
@@ -349,10 +348,7 @@ class TestRunStudy:
         rep = am.run_study(u, a, ball, 2.0, "bbm", schedule, budget, seed=4,
                            mollifier_family=fam, target_grid=am.GridSpec(resolution=16))
         s_values = tuple(fam.s_value(n) for n in schedule.values)
-        if potential == "zero":
-            assert calls == {"gagliardo": [am.Gagliardo(s_values)], "bbm": []}
-        else:
-            assert calls == {"gagliardo": [], "bbm": [am.Bbm(fam, n) for n in schedule.values]}
+        assert calls == {"gagliardo": [am.Gagliardo(s_values)], "bbm": []}
         for i, (n, pt) in enumerate(zip(schedule.values, rep.points)):
             spec = am.FunctionalSpec(am.Bbm(fam, n), 2.0, ball, a)
             value, err = bbm(u, spec, replace(budget, seed=am.derive_seed(4, "study", "bbm", i)),
