@@ -15,6 +15,7 @@ from .bodies import (
     Polytope,
     SymmetricPolytope,
     box_region,
+    cross_polytope,
     cube,
     regular_hexagon,
     regular_polygon,

@@ -3,12 +3,13 @@
 A body K defines the anisotropic norm ``gauge(x) = inf{l > 0 : x/l in K}``.
 All shapes here have closed-form gauges, which keeps the singular kernels of
 the nonlocal functionals cheap and exact.  Supported shapes: Euclidean balls,
-ellipsoids, symmetric polytopes (facet representation), among them the cube,
-and l_q balls for 1 <= q < inf.
+ellipsoids, symmetric polytopes (facet representation), among them the cube
+and the cross-polytope, and l_q balls for 1 < q < inf.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -107,11 +108,11 @@ class Polytope:
         return self._volume
 
     def contains(self, x) -> np.ndarray | bool:
+        """Membership with a 1e-12 slack, one facet at a time."""
         pts, single = _as_points(x, self.dim)
-        nx = np.einsum("nk,fk->nf", pts, self.normals)
         inside = np.ones(len(pts), dtype=bool)
-        for f, offset in enumerate(self.offsets):
-            inside &= nx[:, f] <= offset + 1e-12
+        for normal, offset in zip(self.normals, self.offsets):
+            inside &= np.einsum("nk,k->n", pts, normal) <= offset + 1e-12
         return bool(inside[0]) if single else inside
 
     def signed_distance(self, x) -> np.ndarray:
@@ -258,9 +259,6 @@ class ConvexBody:
     def volume(self) -> float:
         raise NotImplementedError
 
-    def bounding_radii(self) -> tuple[float, float]:
-        return self.r_in, self.r_out
-
     def facet_angles(self):
         """Angles on S^1 where the active facet switches (2-D polytopes only)."""
         return None
@@ -372,9 +370,12 @@ class SymmetricPolytope(ConvexBody):
         object.__setattr__(self, "polytope", poly)
 
     def gauge(self, x):
+        """max over f of n_f . x / offset_f (at least 0), one facet at a time."""
         pts, single = self._check(x)
-        ratios = np.einsum("nk,fk->nf", pts, self.polytope.normals) / self.polytope.offsets
-        g = np.maximum(ratios.max(axis=1), 0.0)
+        g = np.full(len(pts), -np.inf)
+        for normal, offset in zip(self.polytope.normals, self.polytope.offsets):
+            np.maximum(g, np.einsum("nk,k->n", pts, normal) / offset, out=g)
+        np.maximum(g, 0.0, out=g)
         return float(g[0]) if single else g
 
     def contains(self, x):
@@ -401,11 +402,13 @@ def _require_symmetric(poly: Polytope) -> None:
 
 
 class LqBall(ConvexBody):
-    """Unit ball of the l_q norm, q in [1, inf); the cube is ``cube(dim)``."""
+    """Unit ball of the l_q norm, q in (1, inf); the l_1 and l_inf balls are
+    polytopes, ``cross_polytope(dim)`` and ``cube(dim)``."""
 
     def __init__(self, dim: int, q: float):
-        if not (1.0 <= q < math.inf):
-            raise ValueError("q must satisfy 1 <= q < inf; the l_inf ball is cube(dim)")
+        if not (1.0 < q < math.inf):
+            raise ValueError("q must satisfy 1 < q < inf; the l_1 ball is cross_polytope(dim)"
+                             " and the l_inf ball is cube(dim)")
         if q >= 2.0:
             r_in, r_out = 1.0, dim ** (0.5 - 1.0 / q)
         else:
@@ -432,6 +435,13 @@ class LqBall(ConvexBody):
 def cube(dim: int) -> SymmetricPolytope:
     """The cube [-1, 1]^dim, the polytope with facet normals +/- e_k at offset 1."""
     return SymmetricPolytope(np.vstack([np.eye(dim), -np.eye(dim)]), np.ones(2 * dim))
+
+
+def cross_polytope(dim: int) -> SymmetricPolytope:
+    """The l_1 unit ball {x : sum_k |x_k| <= 1}, the polytope with the 2^dim
+    facet normals (+/-1, ..., +/-1) at offset 1."""
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=dim)))
+    return SymmetricPolytope(signs, np.ones(len(signs)))
 
 
 def regular_polygon(sides: int, inradius: float = 1.0) -> SymmetricPolytope:

@@ -71,18 +71,6 @@ class MagneticPotential:
     def __call__(self, x) -> np.ndarray:
         return self.evaluate(np.asarray(x, dtype=float))
 
-    def max_norm(self, radius: float) -> float:
-        """Upper bound for |A| on the ball of the given radius (sampled)."""
-        if self.is_zero:
-            return 0.0
-        rng = np.random.default_rng(0)
-        pts = rng.standard_normal((512, self.dim))
-        pts *= radius / np.sqrt(np.einsum("nk,nk->n", pts, pts))[:, None]
-        pts = np.vstack([pts, 0.5 * pts, np.zeros((1, self.dim))])
-        a = self.evaluate(pts)
-        base = float(np.sqrt(np.einsum("nk,nk->n", a, a)).max())
-        return max(base, self.lipschitz_constant * radius) * 1.05
-
 
 # ---------------------------------------------------------------------------
 # built-in fields

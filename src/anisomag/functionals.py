@@ -54,8 +54,7 @@ import numpy as np
 
 from .bodies import ConvexBody, unit_ball_volume
 from .fields import ComplexField, MagneticPotential
-from .grids import (chunk_values, gauss_jacobi, gauss_legendre, leggauss, midpoint_grid,
-                    trapezoid_grid)
+from .grids import chunk_values, gauss_legendre, leggauss, midpoint_grid, trapezoid_grid
 from .norms import scalar_mixed_modulus_pow
 from .seeding import derive_seed
 from .spheres import sphere_rule
@@ -278,7 +277,7 @@ _SCAN_MIN_FACTOR = 1e-6
 _ROOT_MAX_ITERS = 64
 # Gauss-Legendre order of the mollified functional's radial rules and of the
 # fractional seminorm's first radial panel, whose product weights for
-# h^(p(1-s)-1) come from a Gauss-Jacobi rule of the same order; its
+# h^(p(1-s)-1) come from as many closed-form Legendre moments; its
 # _RADIAL_PANELS geometric Gauss-Legendre panels beyond have _PANEL_ORDER nodes
 _RADIAL_ORDER = 12
 _RADIAL_PANELS = 6
@@ -498,27 +497,29 @@ def _gagliardo_radial(p: float, s_values, h_max: float):
     On [0, h_1], h_1 = min(1, H), the nodes are _RADIAL_ORDER Gauss-Legendre
     nodes x_i, and a row holds their product weights for h^(alpha-1):
     w = V^-T m, with V_ij = P_j(x_i) and m_j the moments of the Legendre
-    polynomial P_j against (1 + x)^(alpha-1), which grids.gauss_jacobi takes
-    exactly.  The P_j are orthogonal on the Gauss nodes, so V^-T = diag(lambda)
-    V diag(j + 1/2), lambda the Gauss weights.  The panel integrates
-    h^(alpha-1) times polynomials of degree below _RADIAL_ORDER exactly, so
-    the smooth difference quotient q is all it approximates.  Its smallest
-    node is 9.2e-3 h_1; at s = 0.995 and p = 2 some weights are negative, and
-    sum |w| is 5.5 times the row's mass.  _RADIAL_PANELS Gauss-Legendre
-    panels in geometric progression cover [h_1, H].
+    polynomial P_j against (1 + x)^(alpha-1).  Rodrigues' formula and j
+    integrations by parts give them in closed form: m_0 = 2^alpha / alpha and
+    m_j = m_(j-1) (alpha - j) / (alpha + j), zero from j = alpha on at an
+    integer alpha.  The P_j are orthogonal on the Gauss nodes, so V^-T =
+    diag(lambda) V diag(j + 1/2), lambda the Gauss weights.  The panel
+    integrates h^(alpha-1) times polynomials of degree below _RADIAL_ORDER
+    exactly, so the smooth difference quotient q is all it approximates.  Its
+    smallest node is 9.2e-3 h_1; at s = 0.995 and p = 2 some weights are
+    negative, and sum |w| is 5.5 times the row's mass.  _RADIAL_PANELS
+    Gauss-Legendre panels in geometric progression cover [h_1, H].
     """
     h_1 = min(1.0, h_max)
     x, lam = leggauss(_RADIAL_ORDER)
     degree, legvander = _RADIAL_ORDER - 1, np.polynomial.legendre.legvander
     v_inv_t = np.einsum("i,ij,j->ij", lam, legvander(x, degree), np.arange(degree + 1) + 0.5)
+    j = np.arange(1.0, _RADIAL_ORDER)
     breaks = h_1 * (h_max / h_1) ** (np.arange(_RADIAL_PANELS + 1) / _RADIAL_PANELS)
     panels = [gauss_legendre(_PANEL_ORDER, lo, hi)
               for lo, hi in (zip(breaks[:-1], breaks[1:]) if h_max > h_1 else ())]
     rows = []
     for s in s_values:
         alpha = p * (1.0 - s)
-        x_j, w_j = gauss_jacobi(_RADIAL_ORDER, alpha - 1.0)
-        moments = np.einsum("n,nj->j", w_j, legvander(x_j, degree))
+        moments = np.cumprod(np.r_[2.0**alpha / alpha, (alpha - j) / (alpha + j)])
         first = (0.5 * h_1) ** alpha * np.einsum("ij,j->i", v_inv_t, moments)
         rows.append(np.concatenate([first] + [wh * h ** (alpha - 1.0) for h, wh in panels]))
     return np.concatenate([0.5 * h_1 * (1.0 + x)] + [h for h, _ in panels]), np.array(rows)
@@ -573,6 +574,8 @@ def gagliardo(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
     s alone returns."""
     _validate(u, spec, budget, Gagliardo)
     s_values = spec.kind.s_values
+    # an indicator whose region holds no grid node evaluates nothing and
+    # returns one zero row, which stands for every s
     q, err = (np.broadcast_to(v, len(s_values)) for v in _gagliardo_like(
         u, spec.potential, spec.body, spec.p, s_values, budget, seed))
     if isinstance(spec.kind.s, tuple):
@@ -672,12 +675,15 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
         # drops below delta/8 the x-contribution is O(delta^p / margin^p)
         radius = min(radius, _effective_radius(u, delta / 8.0) + budget.margin)
     h_max = radius + u.support_radius
+    use_phase = not a.is_zero
+    a0 = float(np.linalg.norm(a.evaluate(np.zeros((1, dim))))) if use_phase else 0.0
+    lip_a = a.lipschitz_constant if use_phase else 0.0
     max_step = budget.scan_max_step
     if max_step is None:
-        amax = a.max_norm(radius + 1.0)
+        # |A| <= |A(0)| + Lip_A |x| bounds the potential on the ball of radius + 1
+        amax = 1.05 * (a0 + lip_a * (radius + 1.0))
         max_step = min(0.5, math.pi / (4.0 * amax)) if amax > 1e-12 else 0.5
     edges = np.concatenate([[0.0], _scan_grid(h_max, max_step)])
-    use_phase = not a.is_zero
     stride = _SCAN_STRIDE if u.envelope is not None else 1
     # the scan nodes evaluated first, as indices of ``edges``: h = 0 (never
     # fires), every stride-th scan node and the last one, at h_max, whose
@@ -692,8 +698,6 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
     # (|x| + h)) |u(y)|, and c_p turns that Euclidean bound into one for the
     # mixed modulus |.|_p; times the cell width it bounds |f_a - f| + |f - f_b|
     c_p = max(1.0, 2.0 ** (1.0 / p - 0.5))
-    a0 = float(np.linalg.norm(a.evaluate(np.zeros((1, dim))))) if use_phase else 0.0
-    lip_a = a.lipschitz_constant if use_phase else 0.0
 
     def kept(xs, x2, lo, hi, g_lo, g_hi):
         """Whether the cell [edges[lo], edges[hi]] of the ray with x.sigma =

@@ -1,11 +1,9 @@
 """Interval and box rules, and the chunked sums over their nodes.
 
 Every Gauss rule of the package comes from here: ``leggauss`` on [-1, 1],
-cached per order, ``gauss_legendre`` mapped to [a, b], and ``gauss_jacobi``,
-the Gauss-Jacobi rule for the weight (1 + x)^beta on [-1, 1], which takes the
-moments of the fractional seminorm's product rule.  The box
-rules are tensor-product grids.  Integrands on the trapezoid grid are smooth
-and compactly supported, so the trapezoid rule converges fast; its nested
+cached per order, and ``gauss_legendre`` mapped to [a, b].  The box rules are
+tensor-product grids.  Integrands on the trapezoid grid are smooth and
+compactly supported, so the trapezoid rule converges fast; its nested
 half-resolution subset gives a free discretization error estimate (same
 integrand evaluations, different weights).  Indicator pipelines use
 cell-centered grids instead, which never place nodes exactly on region
@@ -36,49 +34,6 @@ def gauss_legendre(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarr
     x, w = leggauss(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
-
-
-@lru_cache(maxsize=256)
-def gauss_jacobi(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi nodes and weights on [-1, 1] for the weight (1 + x)^beta,
-    beta > -1, kept in a cache bounded because beta follows the schedule;
-    read-only.  It is exact for polynomials of degree below 2 * order, and
-    functionals._gagliardo_radial takes its product rule's moments from it.
-
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    polynomials' three-term recurrence, polished by one Newton step, and the
-    weights are the Christoffel numbers mu_0 / sum_k p_k(x)^2 of the
-    orthonormal polynomials p_k, which keep their relative accuracy where the
-    weights are small.
-    """
-    k = np.arange(order + 1, dtype=float)
-    s = 2.0 * k + beta
-    diag = np.empty(order + 1)
-    diag[0] = beta / (beta + 2.0)
-    diag[1:] = beta * beta / (s[1:] * (s[1:] + 2.0))
-    # off[k] couples p_(k-1) and p_k; off[0] is unused
-    off = np.zeros(order + 1)
-    off[1:] = 2.0 * k[1:] * (k[1:] + beta) / (s[1:] * np.sqrt((s[1:] + 1.0) * (s[1:] - 1.0)))
-    x = np.linalg.eigvalsh(np.diag(diag[:order]) + np.diag(off[1:order], 1)
-                           + np.diag(off[1:order], -1))
-
-    def recurrence(x):
-        """p_order, its derivative, and the sum of p_k^2 over k < order."""
-        p_prev, p, d_prev, d = np.zeros_like(x), np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
-        squares = np.zeros_like(x)
-        for j in range(order):
-            squares += p * p
-            p_next = ((x - diag[j]) * p - off[j] * p_prev) / off[j + 1]
-            d_next = (p + (x - diag[j]) * d - off[j] * d_prev) / off[j + 1]
-            p_prev, p, d_prev, d = p, p_next, d, d_next
-        return p, d, squares
-
-    p, d, _ = recurrence(x)
-    x -= p / d
-    w = 2.0 ** (beta + 1.0) / (beta + 1.0) / recurrence(x)[2]
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
 
 
 def chunk_values(values_fn, points, live, chunk):

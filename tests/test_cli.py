@@ -128,6 +128,13 @@ class TestNorms:
         })
         assert_config_error(run_cli("norms", "--config", cfg), "cube")
 
+    def test_lq_one_names_the_cross_polytope(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "schema_version": 1, "body": {"shape": "lq", "q": 1},
+            "p": 1.0, "vectors": [[1.0, 0.0]],
+        })
+        assert_config_error(run_cli("norms", "--config", cfg), "cross_polytope")
+
     def test_threads_option_exits_2(self, tmp_path):
         # norms runs on one thread; an option it would ignore is not accepted
         cfg = write_config(tmp_path / "cfg.json", {

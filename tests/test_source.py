@@ -124,13 +124,14 @@ def test_checker_finds_jacobi_rules():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_gauss_jacobi_built_in_grids_only(path):
-    # grids.gauss_jacobi is the one Jacobi rule, built in numpy: scipy's
-    # roots_jacobi on the fractional path added about 1 MiB of peak RSS
+    # no module builds a Gauss-Jacobi rule, grids.py included: the fractional
+    # path's product weights take the Legendre moments of (1 + x)^(alpha - 1)
+    # in closed form, and scipy's roots_jacobi there added about 1 MiB of
+    # peak RSS
     source = path.read_text()
     assert rule_uses(source, JACOBI_NAMES) == []
-    defines = any(isinstance(node, ast.FunctionDef) and node.name == "gauss_jacobi"
-                  for node in ast.walk(ast.parse(source)))
-    assert defines == (path.name == "grids.py")
+    assert not any(isinstance(node, ast.FunctionDef) and node.name == "gauss_jacobi"
+                   for node in ast.walk(ast.parse(source)))
 
 
 @pytest.mark.parametrize("module", ["anisomag", "anisomag.cli"])
