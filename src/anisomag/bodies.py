@@ -4,7 +4,8 @@ A body K defines the anisotropic norm ``gauge(x) = inf{l > 0 : x/l in K}``.
 All shapes here have closed-form gauges, which keeps the singular kernels of
 the nonlocal functionals cheap and exact.  Supported shapes: Euclidean balls,
 ellipsoids, symmetric polytopes (facet representation), among them the cube
-and the cross-polytope, and l_q balls for 1 < q < inf.
+and the cross-polytope, and l_q balls for 1 < q < inf.  Polytope vertices,
+volumes and facet areas come from one recursion over facets, in numpy alone.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,9 +41,11 @@ class Polytope:
     """Bounded intersection of halfspaces {x : normals @ x <= offsets}.
 
     The facet normals are stored unit-length.  Vertices, volume and facet
-    areas are computed lazily via scipy's qhull bindings (in 1-D from the
-    offsets) and cached; they are needed for circumradii, uniform sampling and
-    perimeter computations.
+    areas come from one recursion over facets (``_facet_recursion``), run
+    lazily once and cached; they are needed for circumradii, uniform sampling
+    and perimeter computations.  A set that is empty or flat (its volume at
+    most 1e-12 times its surface) has no vertices and measure zero; an
+    unbounded one raises ValueError at its first geometry query.
     """
 
     def __init__(self, normals, offsets):
@@ -57,55 +61,23 @@ class Polytope:
         self.dim = normals.shape[1]
         if np.linalg.matrix_rank(self.normals) < self.dim:
             raise ValueError("polytope is unbounded: facet normals do not span R^N")
-        self._vertices: np.ndarray | None = None
-        self._volume: float | None = None
 
-    def chebyshev_center(self) -> tuple[np.ndarray, float]:
-        """Deepest interior point and its inradius (<= 0 for degenerate sets)."""
-        from scipy.optimize import linprog
-
-        c = np.zeros(self.dim + 1)
-        c[-1] = -1.0
-        a_ub = np.hstack([self.normals, np.ones((len(self.offsets), 1))])
-        res = linprog(c, A_ub=a_ub, b_ub=self.offsets, bounds=[(None, None)] * (self.dim + 1),
-                      method="highs")
-        if not res.success:
-            raise ValueError("polytope is empty or unbounded")
-        return res.x[: self.dim], float(res.x[-1])
+    @cached_property
+    def _geometry(self) -> tuple[np.ndarray, np.ndarray, float]:
+        verts, areas, volume = _facet_recursion(self.normals, self.offsets)
+        verts = np.unique(np.round(verts, 12), axis=0)
+        # chains through different facets reach a vertex with different
+        # roundings, which may straddle a 12th digit: keep the first of each
+        # cluster within 1e-9
+        gap = np.abs(verts[:, None, :] - verts[None, :, :]).max(axis=-1)
+        return verts[~np.tril(gap <= 1e-9, -1).any(axis=1)], areas, volume
 
     @property
     def vertices(self) -> np.ndarray:
-        if self._vertices is None:
-            interior, inradius = self.chebyshev_center()
-            if inradius <= 1e-12:
-                self._vertices = np.empty((0, self.dim))
-                return self._vertices
-            if self.dim == 1:  # qhull refuses dimension 1: the ends are the tightest offsets
-                ends, up = self.offsets / self.normals[:, 0], self.normals[:, 0] > 0.0
-                self._vertices = np.array([[ends[~up].max()], [ends[up].min()]])
-                return self._vertices
-            from scipy.spatial import HalfspaceIntersection
-
-            halfspaces = np.hstack([self.normals, -self.offsets[:, None]])
-            try:
-                hs = HalfspaceIntersection(halfspaces, interior)
-            except Exception as exc:  # qhull: unbounded or degenerate input
-                raise ValueError(f"polytope vertex computation failed: {exc}") from exc
-            self._vertices = np.unique(np.round(hs.intersections, 12), axis=0)
-        return self._vertices
+        return self._geometry[0]
 
     def volume(self) -> float:
-        if self._volume is None:
-            verts = self.vertices
-            if verts.shape[0] <= self.dim:
-                self._volume = 0.0
-            elif self.dim == 1:
-                self._volume = float(verts.max() - verts.min())
-            else:
-                from scipy.spatial import ConvexHull
-
-                self._volume = float(ConvexHull(verts).volume)
-        return self._volume
+        return self._geometry[2]
 
     def contains(self, x) -> np.ndarray | bool:
         """Membership with a 1e-12 slack, one facet at a time."""
@@ -133,28 +105,7 @@ class Polytope:
 
     def facet_areas(self) -> np.ndarray:
         """Surface measure of each facet, aligned with ``self.normals``."""
-        from scipy.spatial import ConvexHull
-
-        verts = self.vertices
-        areas = np.zeros(len(self.normals))
-        for i, (n, c) in enumerate(zip(self.normals, self.offsets)):
-            on_facet = verts[np.abs(verts @ n - c) <= 1e-9]
-            if self.dim == 1:
-                areas[i] = 1.0 if len(on_facet) else 0.0
-            elif self.dim == 2:
-                if len(on_facet) >= 2:
-                    d = on_facet[:, None, :] - on_facet[None, :, :]
-                    areas[i] = float(np.sqrt(np.einsum("abk,abk->ab", d, d)).max())
-            else:
-                if len(on_facet) > self.dim - 1:
-                    # project facet points onto the hyperplane and take the hull area
-                    basis = _hyperplane_basis(n)
-                    proj = (on_facet - c * n) @ basis.T
-                    try:
-                        areas[i] = float(ConvexHull(proj).volume)
-                    except Exception:
-                        areas[i] = 0.0
-        return areas
+        return self._geometry[1].copy()
 
     def ray_interval(self, x, sigma, reach=np.inf) -> tuple[np.ndarray, np.ndarray]:
         """Parameter interval {t : x + t*sigma in polytope}, vectorized.
@@ -219,6 +170,53 @@ def _hyperplane_basis(normal: np.ndarray) -> np.ndarray:
         if norm > 1e-10:
             basis.append(v / norm)
     return np.asarray(basis[: dim - 1])
+
+
+_FLAT = 1e-12  # a section this thin counts as flat; the slack of Polytope.contains
+
+
+def _facet_recursion(normals, offsets) -> tuple[np.ndarray, np.ndarray, float]:
+    """Vertices, facet measures and volume of {x : normals @ x <= offsets}
+    (unit normals).
+
+    Facet f is the (dim-1)-polytope that the other half-spaces cut from its
+    hyperplane {b_f n_f + y @ _hyperplane_basis(n_f)}; the recursion ends at
+    1-D intervals.  The volume is (1/dim) sum_f b_f |F_f| (divergence theorem).
+    A half-space parallel to facet f bounds nothing on it or cuts its
+    hyperplane off (the facet is empty); a facet equal to an earlier one is
+    skipped.  A set whose volume is at most _FLAT times its surface is flat:
+    no vertices, measure zero.  Vertices come unrounded, once per facet chain.
+    """
+    dim = normals.shape[1]
+    measures = np.zeros(len(offsets))
+    if dim == 1:
+        ends, up = offsets / normals[:, 0], normals[:, 0] > 0.0
+        if up.all() or not up.any():
+            raise ValueError("polytope is unbounded")
+        lo, hi = ends[~up].max(), ends[up].min()
+        measures[np.flatnonzero(up & (ends - hi <= _FLAT))[0]] = 1.0
+        measures[np.flatnonzero(~up & (lo - ends <= _FLAT))[0]] = 1.0
+        verts, volume = np.array([[lo], [hi]]), hi - lo
+    else:
+        parts = [np.empty((0, dim))]
+        for f, (normal, offset) in enumerate(zip(normals, offsets)):
+            basis = _hyperplane_basis(normal)
+            cos = np.einsum("gk,k->g", normals, normal)
+            proj = np.einsum("gk,jk->gj", normals, basis)
+            rhs = offsets - offset * cos
+            length = np.sqrt(np.einsum("gj,gj->g", proj, proj))
+            parallel = length <= _FLAT  # facet f itself among them
+            if (parallel & (rhs < -_FLAT)).any() or (
+                    parallel[:f] & (cos[:f] > 0.0) & (rhs[:f] <= _FLAT)).any():
+                continue
+            keep = ~parallel
+            sub, _, measures[f] = _facet_recursion(proj[keep] / length[keep, None],
+                                                    rhs[keep] / length[keep])
+            parts.append(offset * normal + np.einsum("vj,jk->vk", sub, basis))
+        verts, volume = np.concatenate(parts), np.einsum("f,f->", offsets, measures) / dim
+    if volume <= _FLAT * measures.sum():
+        return np.empty((0, dim)), np.zeros(len(offsets)), 0.0
+    return verts, measures, float(volume)
 
 
 def box_region(center, half_widths) -> Polytope:

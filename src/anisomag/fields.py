@@ -164,13 +164,10 @@ def zero_field(dim: int) -> ComplexField:
 
 def indicator(region: Polytope) -> ComplexField:
     """Indicator of a bounded polytope; no gradient, p = 1 pipelines only."""
-    verts = region.vertices
-    radius = float(np.sqrt(np.einsum("vk,vk->v", verts, verts)).max()) if len(verts) else 0.0
-
     def ev(x):
         return region.contains(x).astype(complex)
 
-    return ComplexField(region.dim, ev, None, radius, False, "indicator", region)
+    return ComplexField(region.dim, ev, None, region.circumradius(), False, "indicator", region)
 
 
 # ---------------------------------------------------------------------------

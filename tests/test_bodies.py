@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -290,13 +291,23 @@ class TestPolytopeConstruction:
     def test_rejects_unbounded(self):
         with pytest.raises(ValueError):
             am.Polytope([[1, 0], [-1, 0]], [1, 1])  # a slab in 2-D
+        # a quadrant: its normals span R^2, so only the first geometry query
+        # finds it unbounded
+        for query in [operator.attrgetter("vertices"), am.Polytope.volume,
+                      am.Polytope.facet_areas, am.Polytope.circumradius]:
+            quadrant = am.Polytope([[1, 0], [0, 1]], [1, 1])
+            with pytest.raises(ValueError, match="unbounded"):
+                query(quadrant)
 
     def test_volumes(self):
         assert am.cube(2).volume() == pytest.approx(4.0)
         assert am.EuclideanBall(2).volume() == pytest.approx(math.pi)
         assert am.Ellipsoid.from_semi_axes([2.0, 1.0]).volume() == pytest.approx(2 * math.pi)
-        # regular hexagon with inradius 1: area = 2*sqrt(3)
-        assert am.regular_hexagon().volume() == pytest.approx(2 * math.sqrt(3.0), rel=1e-9)
+        # regular polygons with inradius 1: area = 2*sides*tan(pi/sides); qhull
+        # worked from rounded vertices and missed by 7.2e-14 and 6.7e-14
+        assert am.regular_hexagon().volume() == pytest.approx(2 * math.sqrt(3.0), rel=1e-15)
+        octagon = am.regular_polygon(8).volume()
+        assert octagon == pytest.approx(8 * math.tan(math.pi / 8), rel=1e-15)
 
     def test_ray_interval_against_membership(self):
         sq = am.unit_square()
@@ -318,8 +329,125 @@ class TestPolytopeConstruction:
                 assert not inside[outside_mask].any()
 
     def test_degenerate_region_measure_zero(self):
-        flat = am.box_region([0.3, 0.0], [0.0, 0.5])
-        assert flat.volume() == 0.0
+        for flat_or_empty in [0.0, -0.1]:
+            region = am.box_region([0.3, 0.0], [flat_or_empty, 0.5])
+            assert region.volume() == 0.0
+            assert region.vertices.shape == (0, 2)
+            np.testing.assert_array_equal(region.facet_areas(), np.zeros(4))
+            assert am.anisotropic_perimeter(region, am.EuclideanBall(2)) == 0.0
+            assert am.indicator(region).support_radius == 0.0
+
+    @pytest.mark.parametrize("offset", [0.5, 0.9], ids=["duplicate", "looser"])
+    def test_square_with_a_parallel_facet(self, offset):
+        # a facet equal to an earlier one, or looser than it, bounds nothing
+        # and has measure zero
+        square = am.unit_square()
+        region = am.Polytope(np.vstack([square.normals, [1.0, 0.0]]),
+                             np.append(square.offsets, offset))
+        np.testing.assert_array_equal(region.vertices, square.vertices)
+        assert region.volume() == 1.0
+        np.testing.assert_array_equal(region.facet_areas(), [1.0, 1.0, 1.0, 1.0, 0.0])
+        perimeter = am.anisotropic_perimeter(region, am.EuclideanBall(2))
+        assert perimeter == am.anisotropic_perimeter(square, am.EuclideanBall(2))
+        assert perimeter == pytest.approx(16.0, rel=1e-9)
+        assert am.indicator(region).support_radius == math.sqrt(0.5)
+
+
+def qhull_geometry(poly):
+    """Oracle: vertices, facet areas and volume from scipy's qhull bindings, by
+    the code that computed them before the facet recursion: a Chebyshev centre
+    by linear programming, the halfspace intersection, and the convex hull of
+    the vertices and of each facet's vertices in the facet's hyperplane."""
+    from scipy.optimize import linprog
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
+
+    dim, areas = poly.dim, np.zeros(len(poly.offsets))
+    # the deepest point x and its inradius r: maximize r subject to n_f . x + r <= b_f
+    a_ub = np.hstack([poly.normals, np.ones((len(areas), 1))])
+    centre = linprog(-np.eye(dim + 1)[-1], A_ub=a_ub, b_ub=poly.offsets,
+                     bounds=[(None, None)] * (dim + 1), method="highs").x
+    if centre[-1] <= 1e-12:
+        return np.empty((0, dim)), areas, 0.0
+    hs = HalfspaceIntersection(np.hstack([poly.normals, -poly.offsets[:, None]]), centre[:-1])
+    verts = np.unique(np.round(hs.intersections, 12), axis=0)
+    for f, (normal, offset) in enumerate(zip(poly.normals, poly.offsets)):
+        on_facet = verts[np.abs(np.einsum("vk,k->v", verts, normal) - offset) <= 1e-9]
+        basis = am.bodies._hyperplane_basis(normal)
+        if len(on_facet) == dim == 2:
+            areas[f] = np.linalg.norm(on_facet[1] - on_facet[0])
+        elif len(on_facet) > dim - 1 and dim == 3:
+            areas[f] = ConvexHull(np.einsum("vk,jk->vj", on_facet, basis)).volume
+    return verts, areas, float(ConvexHull(verts).volume)
+
+
+def geometry_regions():
+    square = am.unit_square()
+    cube = am.cube(3).polytope
+    diagonal = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])
+    return {
+        "cube2": am.cube(2).polytope,
+        "cube3": cube,
+        "cross3": am.cross_polytope(3).polytope,
+        "hexagon": am.regular_hexagon().polytope,
+        "octagon": am.regular_polygon(8).polytope,
+        "square": square,
+        "box3": am.box_region([0.1, 0.0, -0.2], [0.5, 0.3, 0.7]),
+        "cut_box3": am.Polytope(np.vstack([cube.normals, diagonal]), np.r_[cube.offsets, 2.0, 2.0]),
+        "loose_square": am.Polytope(np.vstack([square.normals, [1.0, 0.0]]),
+                                    np.append(square.offsets, 0.9)),
+        "flat_box": am.box_region([0.3, 0.0], [0.0, 0.5]),
+    }
+
+
+class TestPolytopeGeometry:
+    """Vertices, volume and facet areas from the facet recursion, against qhull
+    and closed forms."""
+
+    @pytest.mark.parametrize("name", list(geometry_regions()))
+    def test_against_qhull(self, name):
+        region = geometry_regions()[name]
+        verts, areas, volume = qhull_geometry(region)
+        # equal values, so equal circumradii; only the signs of some zeros differ
+        np.testing.assert_array_equal(region.vertices, verts)
+        np.testing.assert_allclose(region.facet_areas(), areas, rtol=0.0, atol=1e-12)
+        assert region.volume() == pytest.approx(volume, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("body", [am.cube(2), am.cross_polytope(2), am.regular_hexagon(),
+                                      am.regular_polygon(8)], ids=["cube", "cross", "hexagon",
+                                                                   "octagon"])
+    def test_facet_angles_as_from_qhull(self, body):
+        # equal values: the cross-polytope's angle 0 is -0.0, from the vertex
+        # (1, -0.0), where qhull gave (1, 0.0)
+        verts = qhull_geometry(body.polytope)[0]
+        np.testing.assert_array_equal(body.facet_angles(),
+                                      np.sort(np.arctan2(verts[:, 1], verts[:, 0])))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_polytopes_against_qhull(self, dim):
+        # random facets, some nearly parallel: about one polytope in twenty
+        # has a vertex that chains through different facets reach up to
+        # 7e-10 apart, and it must still be counted once
+        rng = np.random.default_rng(dim)
+        bounded = 0
+        for _ in range(100):
+            count = int(rng.integers(dim + 2, 14))
+            region = am.Polytope(rng.standard_normal((count, dim)), rng.uniform(0.2, 1.5, count))
+            try:
+                region.vertices
+            except ValueError:
+                continue
+            bounded += 1
+            verts, areas, volume = qhull_geometry(region)
+            assert region.vertices.shape == verts.shape
+            np.testing.assert_allclose(region.vertices, verts, rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(region.facet_areas(), areas, rtol=1e-9, atol=1e-9)
+            assert region.volume() == pytest.approx(volume, rel=1e-9)
+        assert bounded > 50
+
+    def test_closed_form_facet_areas_3d(self):
+        np.testing.assert_array_equal(am.cube(3).polytope.facet_areas(), np.full(6, 4.0))
+        np.testing.assert_allclose(am.cross_polytope(3).polytope.facet_areas(),
+                                   np.full(8, math.sqrt(3.0) / 2.0), rtol=1e-15, atol=0.0)
 
 
 def broadcast_ray_interval(poly, x, sigma):

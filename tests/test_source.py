@@ -45,10 +45,9 @@ def test_no_unused_imports(path):
 
 
 # numpy names whose contractions dispatch to BLAS, whose results can depend on
-# the thread count; every module but bodies.py contracts with einsum only.
-# bodies.py keeps its @ on facet vertices and 3-vectors (facet_areas,
-# _hyperplane_basis): as einsum they move the 3-D nodes of spheres.slice_rule
-# in the last bits, on about 37% of random axes
+# the thread count; every module contracts with einsum only, but for the @ on
+# 3-vectors in bodies._hyperplane_basis: as einsum they move the 3-D nodes of
+# spheres.slice_rule in the last bits, on about 37% of random axes
 BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot"}
 EINSUM_ONLY = [p.name for p in MODULES if p.name != "bodies.py"]
 
@@ -81,6 +80,36 @@ def test_checker_finds_blas_contractions():
 @pytest.mark.parametrize("name", EINSUM_ONLY)
 def test_einsum_only_contractions(name):
     assert blas_contractions((PACKAGE / name).read_text()) == []
+
+
+def test_bodies_contracts_with_blas_in_hyperplane_basis_only():
+    source = (PACKAGE / "bodies.py").read_text()
+    basis = next(node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.FunctionDef) and node.name == "_hyperplane_basis")
+    lines = [int(found.split(":")[1]) for found in blas_contractions(source)]
+    assert lines and all(basis.lineno <= line <= basis.end_lineno for line in lines)
+
+
+def scipy_imports(source: str) -> list[int]:
+    """Lines of ``source`` that import scipy or any of its modules."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            lines += [node.lineno for alias in node.names if alias.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_checker_finds_scipy_imports():
+    src = ("import numpy as np\nimport scipy\nfrom scipy.spatial import ConvexHull\n"
+           "def f():\n    import scipy.optimize as so\n    from scipyx import y\n")
+    assert scipy_imports(src) == [2, 3, 5]
+
+
+def test_bodies_imports_no_scipy():
+    # polytope vertices, volumes and facet areas come from the facet recursion
+    assert scipy_imports((PACKAGE / "bodies.py").read_text()) == []
 
 
 def rule_uses(source: str, names) -> list[int]:
@@ -137,8 +166,12 @@ def test_gauss_jacobi_built_in_grids_only(path):
 @pytest.mark.parametrize("module", ["anisomag", "anisomag.cli"])
 def test_import_loads_no_scipy(module):
     # scipy is imported inside the functions that use it, which keeps it out
-    # of every process that only imports the package
-    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # of every process that only imports the package, or builds polytope
+    # bodies and regions and reads their geometry
+    code = (f"import sys, {module}; import anisomag as am; am.cube(2); am.cross_polytope(3); "
+            "am.indicator(am.unit_square()); box = am.box_region([0, 0, 0], [1, 2, 3]); "
+            "box.volume(); box.facet_areas(); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert proc.stdout.strip() == "[]"
