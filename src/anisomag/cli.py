@@ -27,6 +27,7 @@ from .bodies import (
     Polytope,
     SymmetricPolytope,
     box_region,
+    cross_polytope,
     cube,
     regular_hexagon,
 )
@@ -83,8 +84,8 @@ def parse_body(obj: dict) -> ConvexBody:
         return SymmetricPolytope(obj["normals"], obj["offsets"])
     if shape == "lq":
         return LqBall(int(obj.get("dim", 2)), float(obj["q"]))
-    if shape == "cube":
-        return cube(int(obj.get("dim", 2)))
+    if shape in ("cube", "cross"):
+        return (cube if shape == "cube" else cross_polytope)(int(obj.get("dim", 2)))
     if shape == "hexagon":
         return regular_hexagon(float(obj.get("inradius", 1.0)))
     raise ConfigError(f"body: unknown shape {shape!r}")

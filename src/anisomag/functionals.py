@@ -24,7 +24,9 @@ split nodes and in its root finding.
   potential's Lipschitz constant, settles most cells between two of them.
   A cell the bound leaves open is split at its middle scan node until it is
   settled or one scan cell wide, so every crossing, and every value, is the
-  one the node-by-node scan finds, as for a field without an envelope.
+  one the node-by-node scan finds, as for a field without an envelope.  As
+  f(0) = 0, the bound also gives a cone of small h where no ray of a block
+  fires, and the block's scan starts at its edge.
 * mollified (BBM) functional: smooth radial integrand on the mollifier
   support.  For polytope indicators one ray kernel, _bbm_indicator, serves
   both families and every potential: each ray meets the region on one
@@ -600,9 +602,11 @@ def _illinois(residual, lo, hi, r_lo, r_hi, tol):
     (Dowell & Jarratt, BIT 11, 1971); r_lo and r_hi, the residuals at the
     ends, are positive at one end only.  A secant step not strictly inside
     the bracket is its midpoint.  A ray's root is its first iterate with a
-    residual of at most ``tol`` in modulus or a bracket of at most 4 ulp,
-    else its last; a ray that stops leaves the active set."""
+    residual of at most its ``tol`` (a scalar, or one per ray) in modulus or
+    a bracket of at most 4 ulp, else its last; a ray that stops leaves the
+    active set."""
     lo, hi, r_lo, r_hi = (np.array(v, dtype=float) for v in (lo, hi, r_lo, r_hi))
+    tol = np.broadcast_to(tol, lo.shape)
     rays, roots = np.arange(len(lo)), np.empty(len(lo))
     last = np.zeros(len(lo), dtype=bool)  # the previous step moved the upper end
     for step in range(_ROOT_MAX_ITERS):
@@ -616,8 +620,8 @@ def _illinois(residual, lo, hi, r_lo, r_hi, tol):
         r_hi = np.where(upper, r, np.where(again, 0.5 * r_hi, r_hi))
         lo, hi, last = np.where(upper, lo, x), np.where(upper, x, hi), upper
         roots[rays] = x
-        done = (np.abs(r) <= tol) | (hi - lo <= 4.0 * np.spacing(hi))
-        rays, lo, hi, r_lo, r_hi, last = (v[~done] for v in (rays, lo, hi, r_lo, r_hi, last))
+        go = np.flatnonzero(~((np.abs(r) <= tol) | (hi - lo <= 4.0 * np.spacing(hi))))
+        rays, lo, hi, r_lo, r_hi, last, tol = (v[go] for v in (rays, lo, hi, r_lo, r_hi, last, tol))
         if not len(rays):
             break
     return roots
@@ -685,11 +689,11 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
         max_step = min(0.5, math.pi / (4.0 * amax)) if amax > 1e-12 else 0.5
     edges = np.concatenate([[0.0], _scan_grid(h_max, max_step)])
     stride = _SCAN_STRIDE if u.envelope is not None else 1
-    # the scan nodes evaluated first, as indices of ``edges``: h = 0 (never
-    # fires), every stride-th scan node and the last one, at h_max, whose
+    # the scan nodes evaluated first, as indices of ``edges``: h = 0 (where
+    # gpow is 0), every stride-th scan node and the last one, at h_max, whose
     # state persists to infinity (the difference there is |u(x)|_p)
     nodes = np.unique(np.r_[0, np.arange(1, len(edges), stride), len(edges) - 1])
-    h_coarse = edges[nodes[1:]]
+    h_coarse = edges[nodes]
     steps = rule.nodes.T[:, :, None] * h_coarse
     half_steps = rule.nodes.T[:, :, None] * (0.5 * h_coarse) if use_phase else None
     delta_pow = delta**p
@@ -698,30 +702,11 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
     # (|x| + h)) |u(y)|, and c_p turns that Euclidean bound into one for the
     # mixed modulus |.|_p; times the cell width it bounds |f_a - f| + |f - f_b|
     c_p = max(1.0, 2.0 ** (1.0 / p - 0.5))
-
-    def kept(xs, x2, lo, hi, g_lo, g_hi):
-        """Whether the cell [edges[lo], edges[hi]] of the ray with x.sigma =
-        ``xs`` and |x|^2 = ``x2``, with gpow = g_lo and g_hi at its ends,
-        stays open: its ends disagree, or it is wider than one scan cell and
-        the Lipschitz bound on f(h) = gpow(h)^(1/p) does not decide its
-        threshold state; arguments broadcast."""
-        flips = (g_lo > delta_pow) != (g_hi > delta_pow)
-        if stride == 1:
-            return flips
-        h_lo, h_hi = edges[lo], edges[hi]
-        # distance from 0 to the segment x + h sigma, h in [h_lo, h_hi]
-        # (sigma is a unit vector)
-        along = np.minimum(np.maximum(h_lo + xs, 0.0), h_hi + xs)
-        mag, grad = u.envelope(np.sqrt(np.maximum(x2 - xs * xs, 0.0) + along * along))
-        if use_phase:
-            grad = grad + (a0 + lip_a * (np.sqrt(x2) + h_hi)) * mag
-        # the cell fires everywhere when (f_a + f_b)/2 - L w/2 > delta, and
-        # nowhere when (f_a + f_b)/2 + L w/2 < delta; the 1e-9 margin covers
-        # the rounding of f and of gpow > delta^p at the inner nodes, and a
-        # NaN leaves the cell open
-        f_sum = g_lo ** (1.0 / p) + g_hi ** (1.0 / p)
-        decided = np.abs(f_sum - 2.0 * delta) > c_p * (h_hi - h_lo) * grad + 2e-9 * delta
-        return flips | ((hi - lo > 1) & ~decided)
+    # f(0) = 0, and the envelope at r = 0 bounds |u| and |grad u| everywhere,
+    # so f(h) <= h c_p (E(0) + (|A(0)| + Lip_A (|x| + h)) M(0)): no ray of a
+    # block fires below the last coarse node where that stays under delta
+    # (with a 1e-9 margin), and the block's scan starts there
+    mag0, grad0 = u.envelope(np.zeros(1)) if stride > 1 else (0.0, 0.0)
 
     def crossings(x, ux, dirs):
         """(point, direction, index of ``edges`` after the flip, gpow at both
@@ -729,48 +714,83 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
         order; directions count from the start of the slice.  A cell whose
         ends agree is settled if certified, and any other is split at its
         middle scan node until it is one scan cell wide."""
-        half = half_steps[:, None, dirs] if use_phase else None
-        sig = rule.nodes[dirs]
-        gpow, _ = _diff_pow(u, a, x.T[:, :, None, None], steps[:, None, dirs], half, h_coarse,
+        sig, m = rule.nodes[dirs], len(rule.nodes[dirs])
+        # per ray (point-major): x.sigma, the squared distance from 0 to its
+        # line, |x|, and x and sigma as coordinate planes
+        xs, x2 = np.einsum("ck,mk->cm", x, sig).ravel(), np.einsum("ck,ck->c", x, x)
+        perp2, norm = np.maximum(x2.repeat(m) - xs * xs, 0.0), np.sqrt(x2).repeat(m)
+        x_r, s_r = (v.reshape(dim, -1)
+                    for v in np.broadcast_arrays(x.T[:, :, None], sig.T[:, None]))
+        first = 0
+        if stride > 1:
+            reach = h_coarse * c_p * (grad0 + (a0 + lip_a * (norm.max() + h_coarse)) * mag0)
+            first = np.count_nonzero(reach < (1.0 - 1e-9) * delta) - 1
+        k = slice(first, None)
+        gpow, _ = _diff_pow(u, a, x.T[:, :, None, None], steps[:, None, dirs, k],
+                            half_steps[:, None, dirs, k] if use_phase else None, h_coarse[k],
                             sig[:, None], ux[:, None, None], p)
-        gpow = np.concatenate([np.zeros(gpow.shape[:2] + (1,)), gpow], axis=2)
-        xs, x2 = np.einsum("ck,mk->cm", x, sig), np.einsum("ck,ck->c", x, x)
-        open_ = kept(xs[:, :, None], x2[:, None, None], nodes[:-1], nodes[1:], gpow[:, :, :-1],
-                     gpow[:, :, 1:])
-        # the cells left are sparse, so a flat search beats a 3-D nonzero; they
-        # are kept as columns (point, direction, lo, hi), with the gpow of
-        # their ends, and each one scan cell wide flips
-        ci, mi, ji = np.unravel_index(np.flatnonzero(open_), open_.shape)
-        cells = np.stack([ci, mi, nodes[ji], nodes[ji + 1]])
-        ends = np.stack([gpow[ci, mi, ji], gpow[ci, mi, ji + 1]])
-        found = []
+
+        def kept(ray, lo, hi, g_lo, g_hi):
+            """Whether the cells [edges[lo], edges[hi]] of rays ``ray``, with
+            gpow = g_lo and g_hi at their ends, stay open: their ends disagree,
+            or they are wider than one scan cell and the Lipschitz bound on
+            f(h) = gpow(h)^(1/p) does not decide their threshold state.  Only
+            the latter take the envelope."""
+            open_ = (g_lo > delta_pow) != (g_hi > delta_pow)
+            t = np.flatnonzero(~open_ & (hi - lo > 1)) if stride > 1 else []
+            if not len(t):
+                return open_
+            r, h_lo, h_hi = ray[t], edges[lo[t]], edges[hi[t]]
+            # distance from 0 to the segment x + h sigma, h in [h_lo, h_hi]
+            # (sigma is a unit vector)
+            xs_t = xs[r]
+            along = np.minimum(np.maximum(h_lo + xs_t, 0.0), h_hi + xs_t)
+            mag, grad = u.envelope(np.sqrt(perp2[r] + along * along))
+            if use_phase:
+                grad = grad + (a0 + lip_a * (norm[r] + h_hi)) * mag
+            # the cell fires everywhere when (f_a + f_b)/2 - L w/2 > delta, and
+            # nowhere when (f_a + f_b)/2 + L w/2 < delta; the 1e-9 margin covers
+            # the rounding of f and of gpow > delta^p at the inner nodes, and a
+            # NaN leaves the cell open
+            f_sum = g_lo[t] ** (1.0 / p) + g_hi[t] ** (1.0 / p)
+            open_[t] = ~(np.abs(f_sum - 2.0 * delta) > c_p * (h_hi - h_lo) * grad + 2e-9 * delta)
+            return open_
+
+        # the coarse cells that flip or are wider than one scan cell, gathered
+        # as flat (ray, lo, hi, gpow at lo, gpow at hi) columns
+        above = gpow > delta_pow
+        cell = np.flatnonzero((above[:, :, 1:] != above[:, :, :-1]) | (np.diff(nodes[k]) > 1))
+        ray, j = np.divmod(cell, gpow.shape[2] - 1)
+        g = gpow.ravel()
+        found, pending = [], [(ray, nodes[k][j], nodes[k][j + 1], g[cell + ray], g[cell + ray + 1])]
         while True:
-            one = cells[3] - cells[2] == 1
-            found.append((cells[:, one], ends[:, one]))
-            cells, ends = cells[:, ~one], ends[:, ~one]
-            if not cells.shape[1]:
+            parts = []
+            for cells in pending:
+                ray, lo, hi, g_lo, g_hi = cells
+                live, one = kept(*cells), hi - lo == 1
+                # an open cell one scan cell wide flips; index arrays gather
+                # faster than masks that are true on every other cell
+                done, rest = np.flatnonzero(live & one), np.flatnonzero(live & ~one)
+                found.append((ray[done], hi[done], g_lo[done], g_hi[done]))
+                parts.append([v[rest] for v in cells])
+            ray, lo, hi, g_lo, g_hi = (np.concatenate(v) for v in zip(*parts))
+            if not len(ray):
                 break
-            ci, mi, lo, hi = cells
-            n, split = len(ci), (lo + hi) // 2
-            g_split = np.empty(n)
-            for start in range(0, n, _BLOCK_ELEMENTS):
+            split, g_split = (lo + hi) // 2, np.empty(len(ray))
+            for start in range(0, len(ray), _BLOCK_ELEMENTS):
                 # each node is the sum x + (h sigma) the full scan forms, so
                 # the split cells see the node-by-node scan's bits
                 b = slice(start, start + _BLOCK_ELEMENTS)
                 h = edges[split[b]][None]
-                d = sig.T.take(mi[b], axis=1)[:, None]
-                g_split[b], _ = _diff_pow(u, a, x.T.take(ci[b], axis=1)[:, None], d * h,
+                d = s_r.take(ray[b], axis=1)[:, None]
+                g_split[b], _ = _diff_pow(u, a, x_r.take(ray[b], axis=1)[:, None], d * h,
                                           d * (0.5 * h) if use_phase else None, h,
-                                          d.transpose(1, 2, 0), ux.take(ci[b]), p)
-            cells, ends = np.tile(cells, 2), np.tile(ends, 2)
-            cells[3, :n] = cells[2, n:] = split
-            ends[1, :n] = ends[0, n:] = g_split
-            ci, mi, lo, hi = cells
-            keep = kept(xs[ci, mi], x2[ci], lo, hi, *ends)
-            cells, ends = cells[:, keep], ends[:, keep]
-        (ci, mi, _, ki), (g_lo, g_hi) = (np.concatenate(col, axis=1) for col in zip(*found))
-        order = np.argsort((ci * len(sig) + mi) * len(edges) + ki)
-        return ci[order], mi[order], ki[order], g_lo[order], g_hi[order]
+                                          d.transpose(1, 2, 0), ux.take(ray[b] // m), p)
+            # the left children [lo, split] and the right ones [split, hi]
+            pending = [(ray, lo, split, g_lo, g_split), (ray, split, hi, g_split, g_hi)]
+        ray, ki, g_lo, g_hi = (np.concatenate(v) for v in zip(*found))
+        order = np.argsort(ray * len(edges) + ki)
+        return ray[order] // m, ray[order] % m, ki[order], g_lo[order], g_hi[order]
 
     def values_fn(x_batch):
         ux = u.evaluate(x_batch)
@@ -779,6 +799,10 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
             ci, mi, ki, g_lo, g_hi = crossings(x_batch[pts], ux[pts], dirs)
             parts.append((ci + pts.start, mi + dirs.start, ki, g_lo, g_hi))
         ci, mi, ki, g_lo, g_hi = (np.concatenate(col) for col in zip(*parts))
+        # the rounding floor of gpow near its root, where the components of
+        # the difference are at most 2 |u(x)| + delta: rays stop there
+        tol = np.finfo(float).eps * np.maximum(
+            16.0 * delta_pow, p * delta ** (p - 1.0) * (2.0 * np.abs(ux[ci]) + delta))
         crossing = np.empty(len(ci))
         for start in range(0, len(ci), _BLOCK_ELEMENTS):
             rays = slice(start, start + _BLOCK_ELEMENTS)
@@ -795,8 +819,7 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
                 return gpow - delta_pow
 
             crossing[rays] = _illinois(residual, edges[ki[rays] - 1], edges[ki[rays]],
-                                       g_lo[rays] - delta_pow, g_hi[rays] - delta_pow,
-                                       16.0 * np.finfo(float).eps * delta_pow)
+                                       g_lo[rays] - delta_pow, g_hi[rays] - delta_pow, tol[rays])
         signed = np.where(g_hi > delta_pow, 1.0, -1.0) * crossing ** (-p)
         ray_vals = np.zeros((len(x_batch), m_count))
         np.add.at(ray_vals, (ci, mi), signed)

@@ -68,6 +68,24 @@ class TestNorms:
         # moment norm of e_1 at p = 1 on the cube is 6
         assert abs(float(rows[2].split(",")[2]) - 6.0) < 1e-8
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_cross_polytope_gauge_table(self, tmp_path, dim):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "schema_version": 1,
+            "body": {"shape": "cross", "dim": dim},
+            "p": 1.0,
+            "vectors": [[3.0, -4.0, 1.0][:dim], [1.0, 0.0, 0.0][:dim]],
+        })
+        out = run_cli("norms", "--config", cfg, "--out", str(tmp_path))
+        assert out.returncode == 0, out.stderr
+        rows = (tmp_path / "norms.csv").read_text().splitlines()
+        # the gauge of the cross-polytope is the l1 norm
+        assert float(rows[1].split(",")[1]) == pytest.approx(7.0 + (dim == 3), rel=1e-12)
+        # (N + 1) int_K |x_1| dx = 3 * 2/3 in 2-D; the 3-D adapted rules
+        # are not accurate to this digit yet
+        if dim == 2:
+            assert float(rows[2].split(",")[2]) == pytest.approx(2.0, abs=1e-8)
+
     def test_ball_euclidean_column(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {
             "schema_version": 1,

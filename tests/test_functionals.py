@@ -499,6 +499,28 @@ class TestIllinois:
         alone, _ = self._solve(smooth, [0.5], [0.6])
         assert roots[1] == alone[0]
 
+    def test_per_ray_tolerance(self):
+        # the same crossing on three rays: each stops at the first iterate
+        # whose residual is within its own tolerance, the loose ones before
+        # the 4-ulp bracket rule (tol = 0) stops the last one
+        fns = [lambda h: h * h - 0.3] * 3
+        tols = [1e-4, 1e-9, 0.0]
+        roots, calls = self._solve(fns, [0.5] * 3, [0.6] * 3, tol=np.array(tols))
+        for tol, n in zip(tols[:2], calls[:2]):
+            residuals = [abs(fns[0](x)) for x in n]
+            assert residuals[-1] <= tol and min(residuals[:-1]) > tol
+        assert len(calls[0]) < len(calls[1]) < len(calls[2])
+        for tol, root in zip(tols, roots):
+            alone, _ = self._solve(fns[:1], [0.5], [0.6], tol=tol)
+            assert root == alone[0]
+
+    def test_scalar_tolerance_is_every_rays_tolerance(self):
+        fns = [lambda h: h * h - 0.3, lambda h: math.sin(9.0 * h), lambda h: 1.3 - math.exp(h)]
+        lo, hi = [0.5, 0.3, 0.2], [0.6, 0.4, 0.4]
+        scalar = self._solve(fns, lo, hi, tol=1e-10)
+        per_ray = self._solve(fns, lo, hi, tol=np.full(3, 1e-10))
+        assert scalar[1] == per_ray[1] and np.array_equal(scalar[0], per_ray[0])
+
 
 class TestRayKernel:
     """The ray kernel against the public reference fields.psi, in each layout
@@ -608,16 +630,90 @@ class TestBlockShape:
         assert max(sizes) == max(1, 256 // rule.size) == 8
 
 
+def _scan_widths(shapes):
+    """The scan nodes of every (point, sigma, h) batch an evaluate call saw."""
+    return [s[2] for s in shapes if len(s) == 4]
+
+
+def _plane_wave(k):
+    """u(x) = exp(i k x_1) with its exact envelope (|u| = 1, |grad u| = k),
+    declared supported in the unit ball so that the scan ends at h_max = 2
+    with no margin: f(h) = 2 |sin(k h sigma_1 / 2)| grows at the envelope's
+    rate, so the cone at h = 0 reaches as far as it can."""
+    def ev(x):
+        return np.exp(1j * k * x[..., 0])
+
+    def gr(x):
+        return np.stack([1j * k * ev(x), np.zeros(x.shape[:-1])], axis=-1)
+
+    def env(r):
+        return np.ones_like(r), np.full_like(r, k)
+
+    return am.ComplexField(2, ev, gr, 1.0, True, "plane_wave", envelope=env)
+
+
 class TestCertifiedScan:
-    def test_zero_field_certifies_every_cell(self):
-        u, shapes = _counting(am.zero_field(2))
+    @staticmethod
+    def _whole_scan_in_the_cone(field):
+        u, shapes = _counting(field)
         spec = am.FunctionalSpec(am.Nguyen(0.1), 2.0, am.EuclideanBall(2),
                                  am.rotational_potential(1.0))
         budget = am.IntegrationBudget(outer="tensor", resolution=16, sphere_nodes=16)
         assert am.nguyen(u, spec, budget) == (0.0, 0.0)
-        # (c, m, coarse nodes, N) scan blocks only: no cell was opened
-        assert any(len(s) == 4 for s in shapes)
+        # (c, m, coarse nodes, N) scan blocks only, each at h_max alone: the
+        # cone covers every other coarse node and no cell was opened
+        assert _scan_widths(shapes) and set(_scan_widths(shapes)) == {1}
         assert all(len(s) != 3 for s in shapes)
+        assert am.nguyen(dataclasses.replace(field, envelope=None), spec, budget) == (0.0, 0.0)
+
+    def test_zero_field_certifies_every_cell(self):
+        # E(0) = M(0) = 0 divides nothing (a RuntimeWarning is an error here)
+        self._whole_scan_in_the_cone(am.zero_field(2))
+
+    def test_field_below_delta_certifies_every_cell(self):
+        self._whole_scan_in_the_cone(am.gaussian(2, 1e-4))
+
+    def test_cone_covers_every_coarse_node_below_h_max(self):
+        # the crossings all lie in the last coarse cell, which is all the
+        # blocks evaluate: the node at the cone's edge and h_max
+        u, shapes = _counting(_plane_wave(0.1))
+        spec = am.FunctionalSpec(am.Nguyen(0.1), 2.0, am.EuclideanBall(2), am.zero_potential(2))
+        budget = am.IntegrationBudget(outer="tensor", resolution=12, sphere_nodes=16, margin=0.0)
+        value = am.nguyen(u, spec, budget)
+        assert value[0] > 0.0 and set(_scan_widths(shapes)) == {2}
+        assert am.nguyen(dataclasses.replace(u, envelope=None), spec, budget) == value
+
+    def test_no_envelope_no_cone(self):
+        # without an envelope every block scans every node, h = 0 included
+        u, spec, budget = _nguyen_case("square_p1_zero_tensor")
+        plain, shapes = _counting(dataclasses.replace(u, envelope=None))
+        value = am.nguyen(plain, spec, budget, seed=1)
+        h_max = 2.0 * u.support_radius + budget.margin
+        assert set(_scan_widths(shapes)) == {1 + len(functionals._scan_grid(h_max, 0.5))}
+        assert value == am.nguyen(u, spec, budget, seed=1)
+
+    def test_cone_is_chosen_per_block(self, monkeypatch):
+        # with small blocks the cone starts at different nodes from block to
+        # block, and every bit stays that of the default blocks
+        fn, u, spec, budget = _ray_path("nguyen")
+        default = fn(u, spec, budget, seed=1)
+        monkeypatch.setattr(functionals, "_BLOCK_ELEMENTS", 256)
+        counted, shapes = _counting(u)
+        assert fn(counted, spec, budget, seed=1) == default
+        assert len(set(_scan_widths(shapes))) > 1
+        assert fn(dataclasses.replace(u, envelope=None), spec, budget, seed=1) == default
+
+    @pytest.mark.parametrize("name, points", [
+        ("ball_p2_rotational_mc", 99174), ("square_p1_zero_tensor", 120891)])
+    def test_evaluation_count(self, name, points):
+        # every point u is evaluated at, pinned: a scan that evaluates more
+        # (a narrower cone, a weaker certificate) fails here; one that
+        # evaluates fewer updates the pin
+        u, spec, budget = _nguyen_case(name)
+        counted, shapes = _counting(u)
+        value = am.nguyen(counted, spec, budget, seed=1)
+        assert sum(math.prod(s[:-1]) for s in shapes) == points
+        assert am.nguyen(dataclasses.replace(u, envelope=None), spec, budget, seed=1) == value
 
     def test_skips_most_scan_nodes(self):
         u, spec, budget = _nguyen_case("ball_p2_rotational_mc")
