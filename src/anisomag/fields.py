@@ -32,8 +32,10 @@ class ComplexField:
     the same shape, (M(r), E(r)) with M(r) >= sup |u(y)| and E(r) >= sup
     |grad u(y)| over |y| >= r (|grad u| the Euclidean norm of the complex
     gradient), both nonincreasing in r.  The threshold functional uses it to
-    certify scan cells without evaluating them; a field without one is
-    scanned node by node.
+    certify scan cells without evaluating them: E bounds how fast the
+    difference |Psi - u(x)| can change along a ray, and M bounds |Psi| =
+    |u(y)| itself, so also the difference's magnitude.  A field without one
+    is scanned node by node.
     """
 
     dim: int

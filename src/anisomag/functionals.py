@@ -16,17 +16,20 @@ split nodes and in its root finding.
   the kernel weights g^(-N-ps) and the tail change with s, and each s is
   contracted on its own.
 * threshold functional: the superlevel set of the kernel difference is
-  bracketed on a graded scan grid, each crossing is located by Illinois steps
-  from the scan's values, then h^(-1-p) is integrated exactly over the
-  resulting intervals.  The scan is certified coarse to fine: it evaluates
-  every 32nd scan node (and the last), and a Lipschitz bound on f(h) =
-  |Psi(x, x + h sigma) - u(x)|_p, built from the field's envelope and the
-  potential's Lipschitz constant, settles most cells between two of them.
-  A cell the bound leaves open is split at its middle scan node until it is
-  settled or one scan cell wide, so every crossing, and every value, is the
-  one the node-by-node scan finds, as for a field without an envelope.  As
-  f(0) = 0, the bound also gives a cone of small h where no ray of a block
-  fires, and the block's scan starts at its edge.
+  bracketed on a graded scan grid, each crossing is located by regula falsi
+  with Anderson-Bjorck steps from the scan's values, then h^(-1-p) is
+  integrated exactly over the resulting intervals.  The scan is certified
+  coarse to fine: it evaluates every 32nd scan node (and the last), and two
+  bounds on f(h) = |Psi(x, x + h sigma) - u(x)|_p built from the field's
+  envelope settle most cells between two of them: a Lipschitz bound (with
+  the potential's Lipschitz constant) and a magnitude bound, |u(x)| -/+ the
+  envelope's bound on |u(y)| (the reverse triangle inequality).  A cell
+  they leave open is split at its middle scan node until it is settled or
+  one scan cell wide, so every crossing, and every value, is the one the
+  node-by-node scan finds, as for a field without an envelope.  Each block
+  of rays scans only between two cones: as f(0) = 0, the Lipschitz bound
+  gives a cone of small h where no ray fires, and as |x + h sigma| >= h -
+  |x|, the magnitude bound gives one of large h where no ray changes state.
 * mollified (BBM) functional: smooth radial integrand on the mollifier
   support.  For polytope indicators one ray kernel, _bbm_indicator, serves
   both families and every potential: each ray meets the region on one
@@ -270,10 +273,10 @@ class IntegrationBudget:
 # sigma and h, so that changes no value either.
 _BLOCK_ELEMENTS = 12288
 # the threshold scan evaluates every _SCAN_STRIDE-th scan node first, and
-# splits each cell its Lipschitz certificate leaves open at its middle node
+# splits each cell its certificates leave open at its middle node
 _SCAN_STRIDE = 32
 # the threshold scan grows geometrically from _SCAN_MIN_FACTOR * h_max, and
-# each crossing takes at most _ROOT_MAX_ITERS Illinois steps
+# each crossing takes at most _ROOT_MAX_ITERS regula falsi steps
 _SCAN_RATIO = 1.05
 _SCAN_MIN_FACTOR = 1e-6
 _ROOT_MAX_ITERS = 64
@@ -384,7 +387,7 @@ def _rows(vals):
     return np.ascontiguousarray(vals.reshape(len(vals), -1).T)
 
 
-def _outer_integrate(values_fn, u, radius, budget, label, seed, rule, ball=False):
+def _outer_integrate(values_fn, u, radius, budget, label, seed, rule, ball=False, profile=None):
     """Outer x-integral of a smooth field's integrand over the ball of ``radius``.
 
     "tensor" is the ball rule when ``ball`` is set (node counts as in
@@ -394,13 +397,15 @@ def _outer_integrate(values_fn, u, radius, budget, label, seed, rule, ball=False
     trapezoid nodes outside the ball, where the spherical decomposition does
     not hold, which is spectral for integrands that vanish smoothly there.
     "montecarlo" draws the defensive gaussian mixture of width
-    _importance_tau(u) with the seed derived from ``label``/``seed``.
+    _importance_tau of ``profile``, u's _radial_profile (computed here when
+    None), with the seed derived from ``label``/``seed``.
     ``values_fn`` returns per-point values or (points, S) rows; the result is
     the (S,) values and errors, S = 1 for per-point values.
     """
     chunk = max(1, _BLOCK_ELEMENTS // rule.size)
     if budget.outer == "montecarlo":
-        pts, rho = _mixture_samples(u.dim, radius, _importance_tau(u), budget.samples,
+        tau = _importance_tau(_radial_profile(u) if profile is None else profile)
+        pts, rho = _mixture_samples(u.dim, radius, tau, budget.samples,
                                     derive_seed(budget.seed, label, seed))
         weighted = _rows(chunk_values(values_fn, pts, None, chunk)) / rho
         means = np.array([np.einsum("n->", row) for row in weighted]) / len(rho)
@@ -597,14 +602,17 @@ def _scan_grid(h_max: float, max_step: float) -> np.ndarray:
     return np.asarray(pts)
 
 
-def _illinois(residual, lo, hi, r_lo, r_hi, tol):
-    """Root of residual(rays, h) in [lo, hi] on each ray by Illinois steps
-    (Dowell & Jarratt, BIT 11, 1971); r_lo and r_hi, the residuals at the
-    ends, are positive at one end only.  A secant step not strictly inside
-    the bracket is its midpoint.  A ray's root is its first iterate with a
-    residual of at most its ``tol`` (a scalar, or one per ray) in modulus or
-    a bracket of at most 4 ulp, else its last; a ray that stops leaves the
-    active set."""
+def _regula_falsi(residual, lo, hi, r_lo, r_hi, tol):
+    """Root of residual(rays, h) in [lo, hi] on each ray by regula falsi with
+    Anderson-Bjorck steps (BIT 13, 1973); r_lo and r_hi, the residuals at the
+    ends, are positive at one end only.  When the same end moves twice
+    running, the residual kept at the other end is scaled by 1 - r/r_moved,
+    with r the new residual and r_moved the one at the end it replaces, or
+    halved as in the Illinois method where that factor is not positive.  A
+    secant step not strictly inside the bracket is its midpoint.  A ray's
+    root is its first iterate with a residual of at most its ``tol`` (a
+    scalar, or one per ray) in modulus or a bracket of at most 4 ulp, else
+    its last; a ray that stops leaves the active set."""
     lo, hi, r_lo, r_hi = (np.array(v, dtype=float) for v in (lo, hi, r_lo, r_hi))
     tol = np.broadcast_to(tol, lo.shape)
     rays, roots = np.arange(len(lo)), np.empty(len(lo))
@@ -614,10 +622,14 @@ def _illinois(residual, lo, hi, r_lo, r_hi, tol):
         x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
         r = residual(rays, x)
         upper = (r > 0.0) == (r_hi > 0.0)
-        # the same end moves twice running: halve the residual kept at the other
-        again = (upper == last) & (step > 0)
-        r_lo = np.where(upper, np.where(again, 0.5 * r_lo, r_lo), r)
-        r_hi = np.where(upper, r, np.where(again, 0.5 * r_hi, r_hi))
+        # the same end moves twice running: scale the residual kept at the other
+        # (halved too where the moved end's residual is 0, which only an
+        # initial end can have)
+        moved = np.where(upper, r_hi, r_lo)
+        factor = 1.0 - np.divide(r, moved, out=np.ones(len(r)), where=moved != 0.0)
+        factor = np.where((upper == last) & (step > 0), np.where(factor > 0.0, factor, 0.5), 1.0)
+        r_lo = np.where(upper, factor * r_lo, r)
+        r_hi = np.where(upper, r, factor * r_hi)
         lo, hi, last = np.where(upper, lo, x), np.where(upper, x, hi), upper
         roots[rays] = x
         go = np.flatnonzero(~((np.abs(r) <= tol) | (hi - lo <= 4.0 * np.spacing(hi))))
@@ -643,29 +655,42 @@ def _radial_profile(u: ComplexField):
     return radii, np.abs(u.evaluate(probes)).max(axis=1)
 
 
-def _effective_radius(u: ComplexField, threshold: float) -> float:
-    """Radius beyond which |u| stays below the threshold."""
-    radii, mags = _radial_profile(u)
+def _effective_radius(profile, threshold: float) -> float:
+    """Radius beyond which |u| stays below the threshold, from its
+    _radial_profile."""
+    radii, mags = profile
     live = np.nonzero(mags >= threshold)[0]
     if len(live) == 0:
         return 0.0
     return float(radii[live[-1]])
 
 
-def _importance_tau(u: ComplexField) -> float:
-    """Gaussian-proposal width matched to where |u| carries its mass."""
-    radii, mags = _radial_profile(u)
+def _importance_tau(profile) -> float:
+    """Gaussian-proposal width matched to where |u| carries its mass, from
+    its _radial_profile."""
+    radii, mags = profile
     umax = float(mags.max())
     if umax <= 0.0:
         return 1.0
     live = np.nonzero(mags >= 0.05 * umax)[0]
-    spread = float(radii[live[-1]]) if len(live) else u.support_radius
+    spread = float(radii[live[-1]]) if len(live) else radii[-1]
     return max(0.5, spread / 2.5)
 
 
 def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
            seed: int = 0) -> tuple[float, float]:
-    """Threshold functional I_delta with exact integration over superlevel intervals."""
+    """Threshold functional I_delta with exact integration over superlevel intervals.
+
+    Along each ray the threshold state of f(h) = |Psi(x, x + h sigma) -
+    u(x)|_p, above delta or not, is decided at the scan nodes ``edges``, as
+    a node-by-node scan would decide it.  A field with an envelope is
+    scanned coarse to fine, and three certificates skip what cannot flip:
+    the cone at h = 0 and the far cone bound where each block's coarse scan
+    starts and ends, and inside that range the Lipschitz and magnitude
+    bounds settle cells between coarse nodes whose ends agree.  Each
+    crossing is then found by _regula_falsi from the gpow values at the ends
+    of its scan cell, and stops at the rounding floor of gpow.
+    """
     _validate(u, spec, budget, Nguyen)
     a, body, p = spec.potential, spec.body, spec.p
     delta = spec.kind.delta
@@ -674,10 +699,12 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
     g = body.gauge(rule.nodes)
     kernel_w = rule.weights / g ** (dim + p)
     radius = u.support_radius + budget.margin
+    profile = None
     if budget.outer == "montecarlo":
         # uniform sampling needs a tight domain: beyond the radius where |u|
         # drops below delta/8 the x-contribution is O(delta^p / margin^p)
-        radius = min(radius, _effective_radius(u, delta / 8.0) + budget.margin)
+        profile = _radial_profile(u)
+        radius = min(radius, _effective_radius(profile, delta / 8.0) + budget.margin)
     h_max = radius + u.support_radius
     use_phase = not a.is_zero
     a0 = float(np.linalg.norm(a.evaluate(np.zeros((1, dim))))) if use_phase else 0.0
@@ -708,6 +735,17 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
     # (with a 1e-9 margin), and the block's scan starts there
     mag0, grad0 = u.envelope(np.zeros(1)) if stride > 1 else (0.0, 0.0)
 
+    def slack(abs_ux):
+        """The magnitude certificate: |Psi| = |u(y)|, and c_lo |z|_2 <= |z|_p
+        <= c_p |z|_2, so c_lo (|u(x)| - M) <= f <= c_p (|u(x)| + M) wherever
+        |u(y)| <= M.  f stays above delta (with the cone's 1e-9 margin) when
+        M < |u(x)| - (1 + 1e-9) delta / c_lo, and below it when M < (1 -
+        1e-9) delta / c_p - |u(x)|: the state is settled where M is below
+        the larger of the two."""
+        c_lo = min(1.0, 2.0 ** (1.0 / p - 0.5))
+        return np.maximum(abs_ux - (1.0 + 1e-9) * delta / c_lo,
+                          (1.0 - 1e-9) * delta / c_p - abs_ux)
+
     def crossings(x, ux, dirs):
         """(point, direction, index of ``edges`` after the flip, gpow at both
         ends of its scan cell) of every crossing in one grid block, in that
@@ -719,42 +757,52 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
         # line, |x|, and x and sigma as coordinate planes
         xs, x2 = np.einsum("ck,mk->cm", x, sig).ravel(), np.einsum("ck,ck->c", x, x)
         perp2, norm = np.maximum(x2.repeat(m) - xs * xs, 0.0), np.sqrt(x2).repeat(m)
+        room = slack(np.abs(ux))
         x_r, s_r = (v.reshape(dim, -1)
                     for v in np.broadcast_arrays(x.T[:, :, None], sig.T[:, None]))
-        first = 0
+        first, last = 0, len(h_coarse) - 1
         if stride > 1:
             reach = h_coarse * c_p * (grad0 + (a0 + lip_a * (norm.max() + h_coarse)) * mag0)
             first = np.count_nonzero(reach < (1.0 - 1e-9) * delta) - 1
-        k = slice(first, None)
-        gpow, _ = _diff_pow(u, a, x.T[:, :, None, None], steps[:, None, dirs, k],
-                            half_steps[:, None, dirs, k] if use_phase else None, h_coarse[k],
+            # the far cone: |x + h sigma| >= h - |x|, so past the first coarse
+            # node where the magnitude test settles every point of the block,
+            # no ray of it changes state
+            mag, _ = u.envelope(np.maximum(h_coarse - np.sqrt(x2)[:, None], 0.0))
+            far = np.count_nonzero((mag < room[:, None]).all(axis=0))
+            last = max(first, min(last, len(h_coarse) - far))
+        # gpow is 0 at h = 0, which is never evaluated
+        k, e = slice(first, last + 1), slice(max(first, 1), last + 1)
+        gpow, _ = _diff_pow(u, a, x.T[:, :, None, None], steps[:, None, dirs, e],
+                            half_steps[:, None, dirs, e] if use_phase else None, h_coarse[e],
                             sig[:, None], ux[:, None, None], p)
+        if first == 0:
+            gpow = np.concatenate([np.zeros(gpow.shape[:2] + (1,)), gpow], axis=2)
+        room = room.repeat(m)
 
         def kept(ray, lo, hi, g_lo, g_hi):
             """Whether the cells [edges[lo], edges[hi]] of rays ``ray``, with
             gpow = g_lo and g_hi at their ends, stay open: their ends disagree,
-            or they are wider than one scan cell and the Lipschitz bound on
-            f(h) = gpow(h)^(1/p) does not decide their threshold state.  Only
-            the latter take the envelope."""
-            open_ = (g_lo > delta_pow) != (g_hi > delta_pow)
-            t = np.flatnonzero(~open_ & (hi - lo > 1)) if stride > 1 else []
-            if not len(t):
+            or they are wider than one scan cell and neither the Lipschitz
+            bound on f(h) = gpow(h)^(1/p) nor the magnitude test decides their
+            threshold state."""
+            open_, wide = (g_lo > delta_pow) != (g_hi > delta_pow), hi - lo > 1
+            if stride == 1 or not wide.any():
                 return open_
-            r, h_lo, h_hi = ray[t], edges[lo[t]], edges[hi[t]]
+            h_lo, h_hi = edges[lo], edges[hi]
             # distance from 0 to the segment x + h sigma, h in [h_lo, h_hi]
             # (sigma is a unit vector)
-            xs_t = xs[r]
+            xs_t = xs[ray]
             along = np.minimum(np.maximum(h_lo + xs_t, 0.0), h_hi + xs_t)
-            mag, grad = u.envelope(np.sqrt(perp2[r] + along * along))
+            mag, grad = u.envelope(np.sqrt(perp2[ray] + along * along))
             if use_phase:
-                grad = grad + (a0 + lip_a * (norm[r] + h_hi)) * mag
+                grad = grad + (a0 + lip_a * (norm[ray] + h_hi)) * mag
             # the cell fires everywhere when (f_a + f_b)/2 - L w/2 > delta, and
             # nowhere when (f_a + f_b)/2 + L w/2 < delta; the 1e-9 margin covers
             # the rounding of f and of gpow > delta^p at the inner nodes, and a
             # NaN leaves the cell open
-            f_sum = g_lo[t] ** (1.0 / p) + g_hi[t] ** (1.0 / p)
-            open_[t] = ~(np.abs(f_sum - 2.0 * delta) > c_p * (h_hi - h_lo) * grad + 2e-9 * delta)
-            return open_
+            f_sum = g_lo ** (1.0 / p) + g_hi ** (1.0 / p)
+            lipschitz = np.abs(f_sum - 2.0 * delta) > c_p * (h_hi - h_lo) * grad + 2e-9 * delta
+            return open_ | (wide & ~(lipschitz | (mag < room[ray])))
 
         # the coarse cells that flip or are wider than one scan cell, gathered
         # as flat (ray, lo, hi, gpow at lo, gpow at hi) columns
@@ -793,6 +841,10 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
         return ray[order] // m, ray[order] % m, ki[order], g_lo[order], g_hi[order]
 
     def values_fn(x_batch):
+        # the points in order of |x|, so that each block's cones are set by
+        # points at similar radii
+        order = np.argsort(np.einsum("ck,ck->c", x_batch, x_batch), kind="stable")
+        x_batch = x_batch[order]
         ux = u.evaluate(x_batch)
         parts = []
         for pts, dirs in _grid_blocks(len(x_batch), m_count, len(h_coarse)):
@@ -818,14 +870,18 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
                                     ux_r[active], p)
                 return gpow - delta_pow
 
-            crossing[rays] = _illinois(residual, edges[ki[rays] - 1], edges[ki[rays]],
-                                       g_lo[rays] - delta_pow, g_hi[rays] - delta_pow, tol[rays])
+            crossing[rays] = _regula_falsi(residual, edges[ki[rays] - 1], edges[ki[rays]],
+                                           g_lo[rays] - delta_pow, g_hi[rays] - delta_pow,
+                                           tol[rays])
         signed = np.where(g_hi > delta_pow, 1.0, -1.0) * crossing ** (-p)
         ray_vals = np.zeros((len(x_batch), m_count))
         np.add.at(ray_vals, (ci, mi), signed)
-        return (delta_pow / p) * np.einsum("cm,m->c", ray_vals, kernel_w)
+        vals = np.empty(len(x_batch))
+        vals[order] = (delta_pow / p) * np.einsum("cm,m->c", ray_vals, kernel_w)
+        return vals
 
-    q, err = _outer_integrate(values_fn, u, radius, budget, "nguyen", seed, rule)
+    q, err = _outer_integrate(values_fn, u, radius, budget, "nguyen", seed, rule,
+                              profile=profile)
     return float(q[0]), float(err[0])
 
 
