@@ -762,8 +762,11 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
                     for v in np.broadcast_arrays(x.T[:, :, None], sig.T[:, None]))
         first, last = 0, len(h_coarse) - 1
         if stride > 1:
-            reach = h_coarse * c_p * (grad0 + (a0 + lip_a * (norm.max() + h_coarse)) * mag0)
-            first = np.count_nonzero(reach < (1.0 - 1e-9) * delta) - 1
+            # h = 0 is in the cone and left out of the product, where an
+            # infinite E(0) would give 0 * inf
+            h = h_coarse[1:]
+            reach = h * c_p * (grad0 + (a0 + lip_a * (norm.max() + h)) * mag0)
+            first = np.count_nonzero(reach < (1.0 - 1e-9) * delta)
             # the far cone: |x + h sigma| >= h - |x|, so past the first coarse
             # node where the magnitude test settles every point of the block,
             # no ray of it changes state

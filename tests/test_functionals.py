@@ -722,13 +722,13 @@ class TestCertifiedScan:
         assert am.nguyen(dataclasses.replace(u, envelope=None), spec, budget) == value
 
     def test_magnitude_settles_what_lipschitz_leaves_open(self):
-        # an envelope whose gradient bound is useless (1e300) leaves every
-        # cell to the magnitude test, which settles most of them: without
-        # it the certified scan would split down to nearly every scan node
+        # an envelope with no gradient bound (E = inf) leaves every cell to
+        # the magnitude test, which settles most of them: without it the
+        # certified scan would split down to nearly every scan node
         field = am.gaussian(2)
         u, shapes = _counting(field)
         steep, steep_shapes = _counting(dataclasses.replace(
-            field, envelope=lambda r: (field.envelope(r)[0], np.full_like(r, 1e300))))
+            field, envelope=lambda r: (field.envelope(r)[0], np.full_like(r, np.inf))))
         plain, plain_shapes = _counting(dataclasses.replace(field, envelope=None))
         spec = am.FunctionalSpec(am.Nguyen(0.05), 2.0, am.EuclideanBall(2),
                                  am.rotational_potential(1.0))
