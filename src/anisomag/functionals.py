@@ -789,7 +789,7 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
             bound on f(h) = gpow(h)^(1/p) nor the magnitude test decides their
             threshold state."""
             open_, wide = (g_lo > delta_pow) != (g_hi > delta_pow), hi - lo > 1
-            if stride == 1 or not wide.any():
+            if not wide.any():  # (always so without an envelope)
                 return open_
             h_lo, h_hi = edges[lo], edges[hi]
             # distance from 0 to the segment x + h sigma, h in [h_lo, h_hi]
