@@ -34,6 +34,14 @@ class GridSpec:
     radius: float | None = None  # None = field support radius
     sphere_nodes: int = 0  # 0 = per-dimension default
 
+    def __post_init__(self):
+        if self.resolution < 2:
+            raise ValueError("resolution must be at least 2 (the error estimate halves it)")
+        if self.radius is not None and not self.radius > 0.0:
+            raise ValueError("radius must be positive (None takes the field's support radius)")
+        if self.sphere_nodes < 0:
+            raise ValueError("sphere_nodes must be non-negative (0 picks the default)")
+
 
 def _integrate_gradient(u: ComplexField, a: MagneticPotential, grid: GridSpec, norm_pow):
     """integral of norm_pow(grad u - i A u) over the grid, _CHUNK points at a

@@ -38,15 +38,15 @@ split nodes and in its root finding.
   nonzero potential is integrated, on a Gauss rule in the magnetic phase.
 
 On smooth fields the fractional and mollified functionals share one driver,
-_smooth_ray_integral (outer rule x sphere rule x radial rule).  The outer
-x-integral runs through one chunk loop, one block of rays per call: for smooth
-fields _outer_integrate (on a ball: a ball rule, Gauss-Legendre in r times a
-sphere rule, for the fractional seminorm and the Ludwig family; a trapezoid
-grid for the other functionals; or defensive importance sampling), for
-indicators _midpoint_integrate (cell-centered grids at two resolutions).  Rule
-evaluations report the distance to the same integral on a rule with half the
-nodes; Monte Carlo evaluations report the sample standard error.  Neither
-estimate is optional.
+_smooth_ray_integral (outer rule x sphere rule x radial rule).  Every path
+integrates over x through one driver, _outer_integrate, and one chunk loop,
+one block of rays per call: for smooth fields a ball rule (Gauss-Legendre in r
+times a sphere rule) for the fractional seminorm and the Ludwig family, a
+trapezoid grid for the other functionals, or defensive importance sampling;
+for indicators cell-centered grids at two resolutions.  Rule evaluations
+report the distance to the same integral on a rule with half the nodes, built
+and evaluated after the first; Monte Carlo evaluations report the sample
+standard error.  Neither estimate is optional.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import numpy as np
 
 from .bodies import ConvexBody, unit_ball_volume
 from .fields import ComplexField, MagneticPotential
-from .grids import chunk_values, gauss_legendre, leggauss, midpoint_grid, trapezoid_grid
+from .grids import ball_grid, chunk_values, gauss_legendre, leggauss, midpoint_grid, trapezoid_grid
 from .norms import scalar_mixed_modulus_pow
 from .seeding import derive_seed
 from .spheres import sphere_rule
@@ -331,27 +331,28 @@ def _phase(a, mid, h, dirs):
     return np.exp(rot, out=rot)
 
 
-def _diff_pow(u, a, x, steps, half_steps, h, dirs, ux, p):
+def _diff_pow(u, a, x, sig, h, ux, p):
     """|exp(-i h sigma.A(mid)) u(y) - u(x)|_p^p at y = x + h sigma, which is
     |psi(u, a, x, y) - u(x)|_p^p: exp(-i h sigma.A) = exp(i (x - y).A).
 
-    ``x`` and the steps h sigma and (h/2) sigma are coordinate planes (N, ...)
-    that broadcast together.  y and the midpoints x + (h/2) sigma are built
-    plane by plane, which gives the field and potential evaluations long
-    contiguous runs, and passed on as (..., N) views.  ``half_steps`` is None
-    to skip the magnetic phase; ``dirs`` is as for _phase, and ``h`` and ``ux``
-    broadcast against the result.  Returns the powers and y.
+    ``x`` and the directions ``sig`` are coordinate planes (N, ...) that
+    broadcast together, and ``h`` broadcasts against sig's planes.  The steps
+    are formed here as sig * h and sig * (0.5 * h), the same products in every
+    layout.  y and the midpoints x + (h/2) sigma are built plane by plane,
+    which gives the field and potential evaluations long contiguous runs, and
+    passed on as (..., N) views.  A zero potential skips the phase; ``ux``
+    broadcasts against the result.  Returns the powers and y.
     """
 
-    def points(planes):
-        out = np.add(x, planes, out=np.empty(np.broadcast(x, planes).shape))
+    def points(steps):
+        out = np.add(x, steps, out=np.empty(np.broadcast(x, steps).shape))
         return out.transpose(*range(1, out.ndim), 0)
 
-    y = points(steps)
+    y = points(sig * h)
     uy = u.evaluate(y)
-    if half_steps is None:
+    if a.is_zero:
         return scalar_mixed_modulus_pow(uy - ux, p), y
-    rot = _phase(a, points(half_steps), h, dirs)
+    rot = _phase(a, points(sig * (0.5 * h)), h, sig.transpose(*range(1, sig.ndim), 0))
     uy = np.multiply(rot, uy, out=rot)
     return scalar_mixed_modulus_pow(np.subtract(uy, ux, out=uy), p), y
 
@@ -371,15 +372,6 @@ def _grid_blocks(count, m, k):
             for i in range(count) for j in range(0, m, step)]
 
 
-def _ball_rule(radius, n_r, rule):
-    """Points r_i sigma_j and weights w_i r_i^(N-1) omega_j of the ball of
-    ``radius``: ``n_r`` Gauss-Legendre nodes r_i on [0, radius] times the
-    sphere rule's nodes sigma_j."""
-    r, w = gauss_legendre(n_r, 0.0, radius)
-    points = np.einsum("i,jk->ijk", r, rule.nodes).reshape(-1, rule.dim)
-    return points, np.einsum("i,j->ij", w * r ** (rule.dim - 1), rule.weights).ravel()
-
-
 def _rows(vals):
     """The (points,) or (points, S) values as S contiguous rows of point
     values, so that each row is integrated by the same operations as a single
@@ -387,15 +379,21 @@ def _rows(vals):
     return np.ascontiguousarray(vals.reshape(len(vals), -1).T)
 
 
-def _outer_integrate(values_fn, u, radius, budget, label, seed, rule, ball=False, profile=None):
-    """Outer x-integral of a smooth field's integrand over the ball of ``radius``.
+def _outer_integrate(values_fn, u, radius, budget, label, seed, rule, ball=False, profile=None,
+                     live=None):
+    """Outer x-integral of the integrand over the ball of ``radius``, or for
+    an indicator over [-radius, radius]^N.
 
-    "tensor" is the ball rule when ``ball`` is set (node counts as in
-    IntegrationBudget), with error |Q - Q_half| against half the r-nodes and
-    the sphere rule's coarse rule; it suits the fractional integrand, of
-    order radius^(-N-ps) at |x| = radius.  Otherwise "tensor" skips the
-    trapezoid nodes outside the ball, where the spherical decomposition does
-    not hold, which is spectral for integrands that vanish smoothly there.
+    "tensor" gives the rule's value Q and the error |Q - Q_half| against a
+    rule with half the nodes, built and evaluated after Q's rule.  With
+    ``ball`` set it is the ball rule (node counts as in IntegrationBudget)
+    against half the r-nodes and the sphere rule's coarse rule, which suits
+    the fractional integrand, of order radius^(-N-ps) at |x| = radius; for an
+    indicator the cell-centered grid against the one at half the resolution,
+    on the nodes the mask ``live(points)`` selects (all if None); otherwise
+    the trapezoid grid's nodes inside the ball, where the spherical
+    decomposition holds, against its nested coarse subset, which is spectral
+    for integrands that vanish smoothly there.
     "montecarlo" draws the defensive gaussian mixture of width
     _importance_tau of ``profile``, u's _radial_profile (computed here when
     None), with the seed derived from ``label``/``seed``.
@@ -403,6 +401,12 @@ def _outer_integrate(values_fn, u, radius, budget, label, seed, rule, ball=False
     the (S,) values and errors, S = 1 for per-point values.
     """
     chunk = max(1, _BLOCK_ELEMENTS // rule.size)
+
+    def total(grid):
+        vals = chunk_values(values_fn, grid.points, None if live is None else live(grid.points),
+                            chunk)
+        return np.array([np.einsum("n,n->", grid.weights, row) for row in _rows(vals)])
+
     if budget.outer == "montecarlo":
         tau = _importance_tau(_radial_profile(u) if profile is None else profile)
         pts, rho = _mixture_samples(u.dim, radius, tau, budget.samples,
@@ -414,33 +418,15 @@ def _outer_integrate(values_fn, u, radius, budget, label, seed, rule, ball=False
         n = budget.resolution
         shell, n_r = sphere_rule(u.dim, n if u.dim < 3 else n * n // 2), 2 * n // 3
         # the counting rule of S^0 is exact and has no coarse rule
-        (fine, w_fine), (half, w_half) = (_ball_rule(radius, n_r, shell),
-                                          _ball_rule(radius, n_r // 2, shell.coarse or shell))
-        rows = _rows(chunk_values(values_fn, np.concatenate([fine, half]), None, chunk))
-        q = np.array([np.einsum("n,n->", w_fine, row[: len(fine)]) for row in rows])
-        return q, abs(q - np.array([np.einsum("n,n->", w_half, row[len(fine):]) for row in rows]))
+        fine = total(ball_grid(radius, n_r, shell))
+        return fine, abs(fine - total(ball_grid(radius, n_r // 2, shell.coarse or shell)))
+    if not u.smooth:
+        fine = total(midpoint_grid(u.dim, radius, budget.resolution))
+        return fine, abs(fine - total(midpoint_grid(u.dim, radius, budget.resolution // 2)))
     tg = trapezoid_grid(u.dim, radius, budget.resolution)
-    live = np.einsum("nk,nk->n", tg.points, tg.points) <= radius**2
+    inside = np.einsum("nk,nk->n", tg.points, tg.points) <= radius**2
     return np.array([tg.integrate(row) for row in
-                     _rows(chunk_values(values_fn, tg.points, live, chunk))]).T
-
-
-def _midpoint_integrate(values_fn, rule, radius, resolution, live):
-    """Outer x-integral of an indicator path's integrand on cell-centered
-    grids over [-radius, radius]^N: the (S,) values at ``resolution`` and
-    their distances to the values at half of it, as for _outer_integrate.
-    ``live(points)`` masks the nodes where the integrand can be nonzero; None
-    keeps all."""
-    chunk = max(1, _BLOCK_ELEMENTS // rule.size)
-
-    def value_at(res):
-        tg = midpoint_grid(rule.dim, radius, res)
-        vals = chunk_values(values_fn, tg.points, None if live is None else live(tg.points),
-                            chunk)
-        return np.array([np.einsum("n,n->", tg.weights, row) for row in _rows(vals)])
-
-    fine = value_at(resolution)
-    return fine, abs(fine - value_at(resolution // 2))
+                     _rows(chunk_values(values_fn, tg.points, inside, chunk))]).T
 
 
 def _smooth_ray_integral(u, a, rule, h, h_weights, kernel_w, p, radius, budget, label, seed,
@@ -459,11 +445,9 @@ def _smooth_ray_integral(u, a, rule, h, h_weights, kernel_w, p, radius, budget, 
     sigma) sums are kept.  ``doubled`` counts twice the pairs whose y lies
     outside the support of u, which a symmetric integrand meets from both ends
     but the outer rule covers from x only; ``tail`` (S,) adds tail[i] *
-    |u(x)|_p^p; ``ball`` selects _outer_integrate's ball rule.  The step
-    planes are built once per call.  Returns the (S,) values and errors.
+    |u(x)|_p^p; ``ball`` selects _outer_integrate's ball rule.  Returns the
+    (S,) values and errors.
     """
-    steps = rule.nodes.T[:, :, None] * h
-    half_steps = None if a.is_zero else rule.nodes.T[:, :, None] * (0.5 * h)
     h_pow = h**p
     sup2 = u.support_radius**2
 
@@ -474,9 +458,8 @@ def _smooth_ray_integral(u, a, rule, h, h_weights, kernel_w, p, radius, budget, 
             x = x_chunk[pts]
             if dirs.start == 0:  # new points (_grid_blocks gives their directions in order)
                 rad = np.empty((len(kernel_w), len(x), rule.size))
-            half = half_steps[:, None, dirs] if half_steps is not None else None
-            gpow, y = _diff_pow(u, a, x.T[:, :, None, None], steps[:, None, dirs], half, h[dirs],
-                                rule.nodes[dirs, None], ux[pts, None, None], p)
+            gpow, y = _diff_pow(u, a, x.T[:, :, None, None], rule.nodes.T[:, None, dirs, None],
+                                h[dirs], ux[pts, None, None], p)
             qpow = np.divide(gpow, h_pow[dirs], out=gpow)
             if doubled:
                 outside = np.einsum("cmhk,cmhk->cmh", y, y) > sup2
@@ -544,7 +527,7 @@ def _gagliardo_like(u, a, body, p, s_values, budget, seed):
     h_max = radius + u.support_radius
 
     if not u.smooth:
-        return _gagliardo_indicator(u, s_values, budget, rule, kernel_w)
+        return _gagliardo_indicator(u, s_values, budget, seed, rule, kernel_w)
 
     h_nodes, h_weights = _gagliardo_radial(p, s_values, h_max)
     shape = (len(s_values), rule.size, len(h_nodes))
@@ -558,7 +541,7 @@ def _gagliardo_like(u, a, body, p, s_values, budget, seed):
                                 tail=tail * (2.0 if symmetric else 1.0), ball=True)
 
 
-def _gagliardo_indicator(u, s_values, budget, rule, kernel_w):
+def _gagliardo_indicator(u, s_values, budget, seed, rule, kernel_w):
     """p = 1 indicator path: exact radial integrals from ray/region intersections."""
     region = u.region
 
@@ -568,8 +551,8 @@ def _gagliardo_indicator(u, s_values, budget, rule, kernel_w):
         return np.stack([2.0 * np.einsum("cm,m->c", t_hi ** (-s) / s, w)
                          for s, w in zip(s_values, kernel_w)], axis=1)
 
-    return _midpoint_integrate(values_fn, rule, u.support_radius, budget.resolution,
-                               region.contains)
+    return _outer_integrate(values_fn, u, u.support_radius, budget, "gagliardo", seed, rule,
+                            live=region.contains)
 
 
 def gagliardo(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
@@ -721,8 +704,6 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
     # state persists to infinity (the difference there is |u(x)|_p)
     nodes = np.unique(np.r_[0, np.arange(1, len(edges), stride), len(edges) - 1])
     h_coarse = edges[nodes]
-    steps = rule.nodes.T[:, :, None] * h_coarse
-    half_steps = rule.nodes.T[:, :, None] * (0.5 * h_coarse) if use_phase else None
     delta_pow = delta**p
     m_count = rule.size
     # Along a ray |d/dh Psi(x, x + h sigma)| <= |grad u(y)| + (|A(0)| + Lip_A
@@ -775,9 +756,8 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
             last = max(first, min(last, len(h_coarse) - far))
         # gpow is 0 at h = 0, which is never evaluated
         k, e = slice(first, last + 1), slice(max(first, 1), last + 1)
-        gpow, _ = _diff_pow(u, a, x.T[:, :, None, None], steps[:, None, dirs, e],
-                            half_steps[:, None, dirs, e] if use_phase else None, h_coarse[e],
-                            sig[:, None], ux[:, None, None], p)
+        gpow, _ = _diff_pow(u, a, x.T[:, :, None, None], sig.T[:, None, :, None], h_coarse[e],
+                            ux[:, None, None], p)
         if first == 0:
             gpow = np.concatenate([np.zeros(gpow.shape[:2] + (1,)), gpow], axis=2)
         room = room.repeat(m)
@@ -832,11 +812,9 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
                 # each node is the sum x + (h sigma) the full scan forms, so
                 # the split cells see the node-by-node scan's bits
                 b = slice(start, start + _BLOCK_ELEMENTS)
-                h = edges[split[b]][None]
-                d = s_r.take(ray[b], axis=1)[:, None]
-                g_split[b], _ = _diff_pow(u, a, x_r.take(ray[b], axis=1)[:, None], d * h,
-                                          d * (0.5 * h) if use_phase else None, h,
-                                          d.transpose(1, 2, 0), ux.take(ray[b] // m), p)
+                g_split[b], _ = _diff_pow(u, a, x_r.take(ray[b], axis=1)[:, None],
+                                          s_r.take(ray[b], axis=1)[:, None], edges[split[b]][None],
+                                          ux.take(ray[b] // m), p)
             # the left children [lo, split] and the right ones [split, hi]
             pending = [(ray, lo, split, g_lo, g_split), (ray, split, hi, g_split, g_hi)]
         ray, ki, g_lo, g_hi = (np.concatenate(v) for v in zip(*found))
@@ -867,10 +845,7 @@ def nguyen(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
             ux_r = ux[ci[rays]]
 
             def residual(active, h):
-                d = s_r[:, active]
-                gpow, _ = _diff_pow(u, a, x_r[:, active], d * h,
-                                    d * (0.5 * h) if use_phase else None, h, d.T,
-                                    ux_r[active], p)
+                gpow, _ = _diff_pow(u, a, x_r[:, active], s_r[:, active], h, ux_r[active], p)
                 return gpow - delta_pow
 
             crossing[rays] = _regula_falsi(residual, edges[ki[rays] - 1], edges[ki[rays]],
@@ -904,7 +879,7 @@ def bbm(u: ComplexField, spec: FunctionalSpec, budget: IntegrationBudget,
         return float(factor * raw[0]), float(factor * err[0])
     if u.smooth:
         return _bbm_shrinking_smooth(u, spec, budget, seed)
-    return _bbm_indicator(u, spec, budget)
+    return _bbm_indicator(u, spec, budget, seed)
 
 
 def _bbm_shrinking_smooth(u, spec, budget, seed):
@@ -925,7 +900,7 @@ def _bbm_shrinking_smooth(u, spec, budget, seed):
     return float(q[0]), float(err[0])
 
 
-def _bbm_indicator(u, spec, budget):
+def _bbm_indicator(u, spec, budget, seed):
     """p = 1 indicator path: one ray kernel for both families and every potential.
 
     Each (x, sigma) ray meets the region on [a, b], clipped to the family's
@@ -996,6 +971,6 @@ def _bbm_indicator(u, spec, budget):
             pieces += phase_piece(x_chunk, inside.astype(float), t_lo, t_hi)
         return np.einsum("cm,m->c", pieces, scale)
 
-    q, err = _midpoint_integrate(values_fn, rule, radius, budget.resolution,
-                                 live if a.is_zero else None)
+    q, err = _outer_integrate(values_fn, u, radius, budget, "bbm", seed, rule,
+                              live=live if a.is_zero else None)
     return float(q[0]), float(err[0])

@@ -2,7 +2,8 @@
 
 Every Gauss rule of the package comes from here: ``leggauss`` on [-1, 1],
 cached per order, and ``gauss_legendre`` mapped to [a, b].  The box rules are
-tensor-product grids.  Integrands on the trapezoid grid are smooth and
+tensor-product grids, and the ball rule the product of a radial Gauss rule and
+a sphere rule.  Integrands on the trapezoid grid are smooth and
 compactly supported, so the trapezoid rule converges fast; its nested
 half-resolution subset gives a free discretization error estimate (same
 integrand evaluations, different weights).  Indicator pipelines use
@@ -98,10 +99,21 @@ def midpoint_grid(dim: int, radius: float, resolution: int) -> TensorGrid:
 
     Its half-resolution grid is shifted, not nested, so it carries no coarse
     subset; the error estimate comes from a second grid at half the
-    resolution (see functionals._midpoint_integrate).
+    resolution, evaluated on its own.
     """
     resolution = int(resolution)
     h = 2.0 * radius / resolution
     x = -radius + h * (np.arange(resolution) + 0.5)
     points = _mesh(x, dim)
     return TensorGrid(points, np.full(points.shape[0], h**dim), None, None)
+
+
+def ball_grid(radius: float, n_r: int, rule) -> TensorGrid:
+    """Points r_i sigma_j and weights w_i r_i^(N-1) omega_j of the ball of
+    ``radius``: ``n_r`` Gauss-Legendre nodes r_i on [0, radius] times the
+    sphere rule ``rule``'s nodes sigma_j.  No coarse subset, as for
+    midpoint_grid: the error estimate needs a second, smaller ball grid."""
+    r, w = gauss_legendre(n_r, 0.0, radius)
+    weights = np.einsum("i,j->ij", w * r ** (rule.dim - 1), rule.weights).ravel()
+    return TensorGrid(np.einsum("i,jk->ijk", r, rule.nodes).reshape(-1, rule.dim), weights,
+                      None, None)

@@ -60,6 +60,16 @@ class TestLocalEnergy:
                                              am.cube(2), 2.0, am.GridSpec(resolution=96))
         assert abs(coarse_val - fine_val) <= max(coarse_err * 2, 1e-8)
 
+    @pytest.mark.parametrize("settings", [
+        {"resolution": 0}, {"resolution": 1}, {"radius": -3.0}, {"radius": 0.0},
+        {"sphere_nodes": -1},
+    ], ids=["resolution0", "resolution1", "negative_radius", "zero_radius", "negative_nodes"])
+    def test_grid_spec_rejects_degenerate_settings(self, settings):
+        # a negative radius used to flip the energy's sign (-0.8857 for the
+        # 1-D gaussian) and resolution 0 to end in a ZeroDivisionError
+        with pytest.raises(ValueError):
+            am.GridSpec(**settings)
+
 
 _SCALED_BODIES = {
     "ball": lambda lam: am.EuclideanBall(2, lam),

@@ -554,9 +554,7 @@ class TestRayKernel:
             return np.moveaxis(v.reshape((1,) * (x.ndim - v.ndim) + v.shape), -1, 0)
 
         y_ref = x + h[..., None] * sig
-        half = None if a.is_zero else planes((0.5 * h)[..., None] * sig)
-        got, y = functionals._diff_pow(u, a, planes(x), planes(h[..., None] * sig), half, h, sig,
-                                       u(x), p)
+        got, y = functionals._diff_pow(u, a, planes(x), planes(sig), h, u(x), p)
         np.testing.assert_array_equal(y, y_ref, err_msg=layout)
         diff = am.psi(u, a, x, y_ref) - u(x)
         want = np.abs(diff.real) ** p + np.abs(diff.imag) ** p
@@ -638,6 +636,30 @@ class TestBlockShape:
         rule = functionals.sphere_rule(2, budget.sphere_nodes, body=spec.body)
         assert max(sizes) == max(1, 256 // rule.size) == 8
 
+    @pytest.mark.parametrize("kind", ["gagliardo", "gagliardo_indicator"])
+    def test_fine_rule_then_half_rule(self, kind, monkeypatch):
+        # the ball rule and the cell-centered grid are each evaluated in one
+        # pass, and their half rules in a second: no pass holds both grids
+        fn, u, spec, budget = _ray_path(kind)
+        passes = []
+
+        def recorded(values_fn, points, live, chunk):
+            passes.append(points)
+            return chunk_values(values_fn, points, live, chunk)
+
+        monkeypatch.setattr(functionals, "chunk_values", recorded)
+        fn(u, spec, budget, seed=1)
+        radius, res = u.support_radius, budget.resolution
+        if u.smooth:
+            shell, n_r = functionals.sphere_rule(2, res), 2 * res // 3
+            want = [am.grids.ball_grid(radius, n_r, shell),
+                    am.grids.ball_grid(radius, n_r // 2, shell.coarse)]
+        else:
+            want = [am.grids.midpoint_grid(2, radius, r) for r in (res, res // 2)]
+        assert len(passes) == 2
+        for got, grid in zip(passes, want):
+            np.testing.assert_array_equal(got, grid.points)
+
 
 def _scan_widths(shapes):
     """The scan nodes of every (point, sigma, h) batch an evaluate call saw."""
@@ -711,10 +733,10 @@ class TestCertifiedScan:
         budget = am.IntegrationBudget(outer="tensor", resolution=12, sphere_nodes=16)
         ends, diff_pow = [], functionals._diff_pow
 
-        def recorded(u, a, x, steps, half_steps, h, dirs, ux, p):
+        def recorded(u, a, x, sig, h, ux, p):
             if x.ndim == 4:  # a (point, sigma, h) scan block
                 ends.append(np.max(h))
-            return diff_pow(u, a, x, steps, half_steps, h, dirs, ux, p)
+            return diff_pow(u, a, x, sig, h, ux, p)
 
         monkeypatch.setattr(functionals, "_diff_pow", recorded)
         value = am.nguyen(u, spec, budget)

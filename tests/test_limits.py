@@ -242,6 +242,19 @@ class TestRunStudy:
         assert back == rep
         assert back.to_json() == text
 
+    def test_numpy_schedule_round_trip(self):
+        # schedules keep Python numbers whatever sequence they are given, so a
+        # study run on a numpy schedule serializes
+        assert all(type(v) is float for v in am.Schedule("s", np.linspace(0.8, 0.95, 4)).values)
+        schedule = am.Schedule("n", np.array([4, 8, 16, 32]))
+        assert all(type(v) is int for v in schedule.values)
+        rep = am.run_study(am.indicator(am.unit_square()), am.zero_potential(2),
+                           am.EuclideanBall(2), 1.0, "bbm", schedule,
+                           am.IntegrationBudget(outer="tensor", resolution=8, sphere_nodes=8),
+                           tolerance=0.5)
+        text = rep.to_json()
+        assert am.ConvergenceReport.from_json(text) == rep
+
     def test_csv_and_plot_outputs(self, tmp_path):
         u0 = am.zero_field(2)
         rep = am.run_study(u0, am.zero_potential(2), am.EuclideanBall(2), 2.0,
